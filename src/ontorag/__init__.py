@@ -13,7 +13,7 @@ from .model import Ontology, OntologyClass, local_name, normalize_label, subclas
 from .parse import parse_json_ontology, parse_obo, serialize_ontology
 from .align import LexicalScorer, align, candidate_pairs, lexical_score
 from .subsume import SubsumptionDictionary, build_dictionary, build_subsumption_corpus, predict_subsumptions
-from .infiltrate import infiltrate, tokenize
+from .infiltrate import infiltrate
 from .ragstore import DeterministicEmbedder, VectorStore, chunk_document, deterministic_embed, ingest, retrieve
 from .engine import EchoLlm, answer
 from .evaluate import (
@@ -43,7 +43,6 @@ __all__ = [
     "build_subsumption_corpus",
     "predict_subsumptions",
     "build_dictionary",
-    "tokenize",
     "infiltrate",
     "VectorStore",
     "DeterministicEmbedder",

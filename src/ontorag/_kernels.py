@@ -1,9 +1,9 @@
 """Hot numeric kernels: Levenshtein distance and dense cosine scans.
 
-Both kernels ship in two variants: a numba ``@njit`` build and a pure
+The cosine scan is one NumPy matrix-vector product on every install.
+Levenshtein alone ships in two variants: a numba ``@njit`` build and a pure
 NumPy fallback. The fallback is selected when numba is unavailable or when
 ``ONTORAG_NO_NUMBA=1`` is set (read once at import time).
-``benchmarks/bench_kernels.py`` times the two side by side.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ def _levenshtein_np(a: np.ndarray, b: np.ndarray) -> int:
     return int(prev[n])
 
 
-def _cosine_scan_np(matrix: np.ndarray, norms: np.ndarray, query: np.ndarray, qnorm: float) -> np.ndarray:
+def cosine_scan(matrix: np.ndarray, norms: np.ndarray, query: np.ndarray, qnorm: float) -> np.ndarray:
     """Cosine of `query` against every matrix row; zero-norm rows score 0."""
     scores = matrix @ query
     safe = norms > 0.0
@@ -68,19 +68,6 @@ def _levenshtein_loop(a: np.ndarray, b: np.ndarray) -> int:
     return int(prev[n])
 
 
-def _cosine_scan_loop(matrix: np.ndarray, norms: np.ndarray, query: np.ndarray, qnorm: float) -> np.ndarray:
-    rows = matrix.shape[0]
-    dim = matrix.shape[1]
-    out = np.zeros(rows, dtype=np.float64)
-    for i in range(rows):
-        if norms[i] > 0.0:
-            acc = 0.0
-            for j in range(dim):
-                acc += matrix[i, j] * query[j]
-            out[i] = acc / (norms[i] * qnorm)
-    return out
-
-
 _env = os.environ.get("ONTORAG_NO_NUMBA", "")
 NUMBA_DISABLED = _env not in ("", "0")
 
@@ -95,12 +82,9 @@ except ImportError:
 
 if HAVE_NUMBA:
     _levenshtein_nb = njit(cache=True)(_levenshtein_loop)
-    _cosine_scan_nb = njit(cache=True)(_cosine_scan_loop)
     levenshtein_codes = _levenshtein_nb
-    cosine_scan = _cosine_scan_nb
 else:
     levenshtein_codes = _levenshtein_np
-    cosine_scan = _cosine_scan_np
 
 
 def encode_text(s: str) -> np.ndarray:

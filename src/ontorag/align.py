@@ -215,13 +215,8 @@ def render_mappings(mappings: Iterable[EquivalenceMapping]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def write_mappings(path: str, mappings: Iterable[EquivalenceMapping]) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(render_mappings(mappings))
-
-
 def read_mappings(path: str) -> list[EquivalenceMapping]:
-    """Read a mapping TSV produced by :func:`write_mappings`."""
+    """Read a mapping TSV in the form :func:`render_mappings` produces."""
     with open(path, "r", encoding="utf-8") as fh:
         raw = fh.read()
     lines = [line for line in raw.split("\n") if line]

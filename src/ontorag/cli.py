@@ -101,15 +101,6 @@ def _load_dictionary(path: str) -> SubsumptionDictionary:
         return SubsumptionDictionary.from_json(fh.read())
 
 
-def _load_store(path: str) -> VectorStore:
-    return VectorStore.load(path)
-
-
-def _provider_for_store(spec: str, store: VectorStore):
-    provider = _make_embedder(spec, store.dim)
-    return provider
-
-
 def cmd_align(args: argparse.Namespace) -> int:
     source = _load_ontology(args.source)
     target = _load_ontology(args.target)
@@ -190,8 +181,8 @@ def cmd_infiltrate(args: argparse.Namespace) -> int:
 
 def cmd_ingest(args: argparse.Namespace) -> int:
     if os.path.exists(args.store):
-        store = _load_store(args.store)
-        provider = _provider_for_store(args.provider, store)
+        store = VectorStore.load(args.store)
+        provider = _make_embedder(args.provider, store.dim)
     else:
         provider = _make_embedder(args.provider, args.dim)
         store = VectorStore.new(provider)
@@ -209,8 +200,8 @@ def cmd_ingest(args: argparse.Namespace) -> int:
 
 
 def cmd_ask(args: argparse.Namespace) -> int:
-    store = _load_store(args.store)
-    provider = _provider_for_store(args.provider, store)
+    store = VectorStore.load(args.store)
+    provider = _make_embedder(args.provider, store.dim)
     llm = _make_llm(args.llm)
     dictionary = _load_dictionary(args.dict) if args.dict else None
     result = answer(
@@ -232,8 +223,8 @@ def cmd_ask(args: argparse.Namespace) -> int:
 
 
 def cmd_chat(args: argparse.Namespace) -> int:
-    store = _load_store(args.store)
-    provider = _provider_for_store(args.provider, store)
+    store = VectorStore.load(args.store)
+    provider = _make_embedder(args.provider, store.dim)
     llm = _make_llm(args.llm)
     dictionary = _load_dictionary(args.dict) if args.dict else None
     turns = chat_repl(
@@ -253,8 +244,8 @@ def cmd_chat(args: argparse.Namespace) -> int:
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
-    store = _load_store(args.store)
-    provider = _provider_for_store(args.provider, store)
+    store = VectorStore.load(args.store)
+    provider = _make_embedder(args.provider, store.dim)
     llm = _make_llm(args.llm)
     dictionary = _load_dictionary(args.dict)
     records = read_records(args.records)

@@ -2,13 +2,13 @@
 
 Dictionary anchors are matched against the prompt as token n-grams, longest
 span first, and the accepted narrower labels are appended inside a single
-``(related: ...)`` suffix. The suffix is recognized and stripped on re-entry,
-which makes the operation idempotent.
+``(related: ...)`` suffix. On re-entry a trailing suffix whose every term is a
+dictionary term is recognized and stripped, which makes the operation
+idempotent without deleting a ``(related: ...)`` the user wrote.
 """
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 
 from ._kernels import levenshtein
@@ -17,26 +17,7 @@ from .subsume import SubsumptionDictionary
 
 MAX_APPEND_TOTAL = 6
 FUZZY_MAX_EDITS = 1
-_SUFFIX_RE = re.compile(r"\s*\(related:[^)]*\)\s*$")
-
-
-def tokenize(text: str) -> list[str]:
-    """Lowercased alphanumeric runs, in order of appearance."""
-    return label_tokens(text)
-
-
-def detokenize(tokens: list[str]) -> str:
-    return " ".join(tokens)
-
-
-@dataclass(frozen=True)
-class TokenizedPrompt:
-    text: str
-    tokens: tuple[str, ...]
-
-
-def tokenize_prompt(text: str) -> TokenizedPrompt:
-    return TokenizedPrompt(text=text, tokens=tuple(tokenize(text)))
+_MARKER = "(related: "
 
 
 @dataclass(frozen=True)
@@ -49,9 +30,24 @@ class AugmentedPrompt:
     appended: tuple[str, ...]
 
 
-def strip_suffix(text: str) -> str:
-    """Remove a trailing ``(related: ...)`` marker, if present."""
-    return _SUFFIX_RE.sub("", text)
+def strip_suffix(text: str, dictionary: SubsumptionDictionary) -> str:
+    """Remove a trailing ``(related: ...)`` marker that lists only dictionary terms.
+
+    Terms are joined by ``", "`` and may themselves hold ``", "`` or ``)``.
+    """
+    start = text.rfind(_MARKER)
+    if start < 0:
+        return text
+    rest = text[start + len(_MARKER) :].rstrip()
+    if not rest.endswith(")"):
+        return text
+    terms = {term for entry in dictionary.entries.values() for term in entry}
+    parts = rest[:-1].split(", ")
+    ends = {0}  # part counts that split into whole terms
+    for j in range(1, len(parts) + 1):
+        if any(", ".join(parts[i:j]) in terms for i in ends):
+            ends.add(j)
+    return text[:start].rstrip() if len(parts) in ends else text
 
 
 def _fuzzy_anchor(key: str, word_count: int, dictionary: SubsumptionDictionary) -> str | None:
@@ -106,17 +102,17 @@ def infiltrate(
     instead of the ``(related: ...)`` marker. With ``fuzzy=True`` an n-gram
     also matches an anchor of the same word count within one edit.
     """
-    core = strip_suffix(text)
-    prompt = tokenize_prompt(core)
-    matched = _match_anchors(prompt.tokens, dictionary, fuzzy)
-    core_norm = detokenize(list(prompt.tokens))
+    core = strip_suffix(text, dictionary)
+    tokens = tuple(label_tokens(core))
+    matched = _match_anchors(tokens, dictionary, fuzzy)
+    core_norm = " ".join(tokens)
     appended: list[str] = []
     appended_norms: set[str] = set()
     for anchor in matched:
         for term in dictionary.entries[anchor]:
             if len(appended) >= max_append_total:
                 break
-            term_norm = detokenize(tokenize(term))
+            term_norm = " ".join(label_tokens(term))
             if not term_norm or term_norm in appended_norms:
                 continue
             if _word_boundary_contains(core_norm, term_norm):
@@ -133,7 +129,7 @@ def infiltrate(
     if bare:
         augmented = f"{base} {' '.join(appended)}" if base else " ".join(appended)
     else:
-        augmented = f"{base} (related: {', '.join(appended)})"
+        augmented = f"{base} {_MARKER}{', '.join(appended)})"
     return AugmentedPrompt(
         original=text,
         augmented=augmented,

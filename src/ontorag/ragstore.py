@@ -196,19 +196,27 @@ class Chunk:
     id: str
     doc_id: str
     text: str
-    embedding: tuple[float, ...]
 
 
-@dataclass
+@dataclass(eq=False)
 class VectorStore:
-    """In-memory chunk collection with an exact cosine scan."""
+    """In-memory chunk collection with an exact cosine scan.
+
+    ``matrix`` is the only copy of the embeddings: row ``i`` is the vector of
+    ``chunks[i]``, and both are kept in ascending chunk-id order, so a stable
+    sort on score alone breaks ties on id.
+    """
 
     dim: int
     provider_name: str
     created: int
-    chunks: list[Chunk] = field(default_factory=list)
-    _matrix: np.ndarray | None = field(default=None, repr=False, compare=False)
-    _norms: np.ndarray | None = field(default=None, repr=False, compare=False)
+    chunks: list[Chunk] = field(default_factory=list, init=False)
+    matrix: np.ndarray = field(init=False, repr=False)
+    norms: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        self.matrix = np.empty((0, self.dim), dtype=np.float64)
+        self.norms = np.empty(0, dtype=np.float64)
 
     @classmethod
     def new(cls, provider: EmbeddingProvider) -> "VectorStore":
@@ -223,30 +231,30 @@ class VectorStore:
     def chunk_ids(self) -> set[str]:
         return {c.id for c in self.chunks}
 
-    def add_chunks(self, new_chunks: Sequence[Chunk]) -> None:
-        """Validate then append; the store is untouched if anything is wrong."""
-        existing = self.chunk_ids()
-        fresh: set[str] = set()
-        for chunk in new_chunks:
-            if len(chunk.embedding) != self.dim:
-                raise DataError(
-                    f"chunk {chunk.id}: embedding width {len(chunk.embedding)} != store dim {self.dim}"
-                )
-            if chunk.id in existing or chunk.id in fresh:
-                raise DataError(f"duplicate chunk id {chunk.id}")
-            fresh.add(chunk.id)
-        self.chunks.extend(new_chunks)
-        self._matrix = None
-        self._norms = None
+    def add_chunks(self, new_chunks: Sequence[Chunk], vectors: np.ndarray) -> None:
+        """Validate then merge; the store is untouched if anything is wrong.
 
-    def _ensure_matrix(self) -> tuple[np.ndarray, np.ndarray]:
-        if self._matrix is None:
-            mat = np.empty((len(self.chunks), self.dim), dtype=np.float64)
-            for i, chunk in enumerate(self.chunks):
-                mat[i] = chunk.embedding
-            self._matrix = np.ascontiguousarray(mat)
-            self._norms = np.linalg.norm(self._matrix, axis=1)
-        return self._matrix, self._norms
+        ``vectors[i]`` is the embedding of ``new_chunks[i]``.
+        """
+        vectors = np.asarray(vectors, dtype=np.float64)
+        if vectors.shape != (len(new_chunks), self.dim):
+            raise DataError(
+                f"{len(new_chunks)} chunks need vectors of shape ({len(new_chunks)}, {self.dim}), "
+                f"got {vectors.shape}"
+            )
+        finite = np.isfinite(vectors).all(axis=1)
+        if not finite.all():
+            raise DataError(f"chunk {new_chunks[int(np.argmin(finite))].id}: embedding is not finite")
+        seen = self.chunk_ids()
+        for chunk in new_chunks:
+            if chunk.id in seen:
+                raise DataError(f"duplicate chunk id {chunk.id}")
+            seen.add(chunk.id)
+        chunks = self.chunks + list(new_chunks)
+        order = sorted(range(len(chunks)), key=lambda i: chunks[i].id)
+        self.chunks = [chunks[i] for i in order]
+        self.matrix = np.concatenate([self.matrix, vectors])[order]
+        self.norms = np.linalg.norm(self.matrix, axis=1)
 
     def nearest(self, query: np.ndarray, k: int) -> list[tuple[Chunk, float]]:
         """Top-k chunks by cosine similarity; ties break on ascending id."""
@@ -257,75 +265,80 @@ class VectorStore:
         q = np.ascontiguousarray(np.asarray(query, dtype=np.float64).reshape(-1))
         if q.shape[0] != self.dim:
             raise DataError(f"query width {q.shape[0]} != store dim {self.dim}")
-        matrix, norms = self._ensure_matrix()
         qnorm = float(np.linalg.norm(q))
         if qnorm == 0.0:
             scores = np.zeros(len(self.chunks), dtype=np.float64)
         else:
-            scores = cosine_scan(matrix, norms, q, qnorm)
-        ids = np.array([c.id for c in self.chunks])
-        order = np.lexsort((ids, -scores))[:k]
+            scores = cosine_scan(self.matrix, self.norms, q, qnorm)
+        order = np.argsort(-scores, kind="stable")[:k]
         return [(self.chunks[i], float(scores[i])) for i in order]
 
     def to_jsonl(self) -> str:
         """Header plus one chunk per line, ordered by chunk id."""
         header = {"dim": self.dim, "provider": self.provider_name, "created": self.created}
         lines = [json.dumps(header, ensure_ascii=False)]
-        for chunk in sorted(self.chunks, key=lambda c: c.id):
+        for i, chunk in enumerate(self.chunks):
             lines.append(
                 json.dumps(
                     {
                         "id": chunk.id,
                         "doc_id": chunk.doc_id,
                         "text": chunk.text,
-                        "embedding": list(chunk.embedding),
+                        "embedding": self.matrix[i].tolist(),
                     },
                     ensure_ascii=False,
                 )
             )
         return "\n".join(lines) + "\n"
 
-    def save(self, path: str) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(self.to_jsonl())
-
     @classmethod
     def load(cls, path: str) -> "VectorStore":
         with open(path, "r", encoding="utf-8") as fh:
-            lines = [line for line in fh.read().split("\n") if line]
+            lines = [(n, line) for n, line in enumerate(fh.read().split("\n"), start=1) if line]
         if not lines:
             raise DataError(f"{path}: empty store file")
+        header_no, header_line = lines[0]
         try:
-            header = json.loads(lines[0])
+            header = json.loads(header_line)
         except json.JSONDecodeError as exc:
-            raise DataError(f"{path}:1: bad store header: {exc}") from exc
+            raise DataError(f"{path}:{header_no}: bad store header: {exc}") from exc
         if (
             not isinstance(header, dict)
             or not isinstance(header.get("dim"), int)
             or not isinstance(header.get("provider"), str)
             or not isinstance(header.get("created"), int)
         ):
-            raise DataError(f"{path}:1: store header needs dim, provider, created")
+            raise DataError(f"{path}:{header_no}: store header needs dim, provider, created")
         if header["dim"] < MIN_DIM:
-            raise DataError(f"{path}:1: store dim must be >= {MIN_DIM}")
+            raise DataError(f"{path}:{header_no}: store dim must be >= {MIN_DIM}")
         store = cls(dim=header["dim"], provider_name=header["provider"], created=header["created"])
         chunks: list[Chunk] = []
-        for lineno, line in enumerate(lines[1:], start=2):
+        matrix = np.empty((len(lines) - 1, store.dim), dtype=np.float64)
+        for i, (lineno, line) in enumerate(lines[1:]):
             try:
                 row = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise DataError(f"{path}:{lineno}: bad chunk row: {exc}") from exc
             try:
-                chunk = Chunk(
-                    id=row["id"],
-                    doc_id=row["doc_id"],
-                    text=row["text"],
-                    embedding=tuple(float(x) for x in row["embedding"]),
-                )
-            except (KeyError, TypeError, ValueError) as exc:
+                chunk = Chunk(id=row["id"], doc_id=row["doc_id"], text=row["text"])
+                embedding = row["embedding"]
+            except (KeyError, TypeError) as exc:
                 raise DataError(f"{path}:{lineno}: chunk row needs id, doc_id, text, embedding") from exc
+            if not all(isinstance(v, str) for v in (chunk.id, chunk.doc_id, chunk.text)):
+                raise DataError(f"{path}:{lineno}: chunk id, doc_id and text must be strings")
+            if not isinstance(embedding, list) or len(embedding) != store.dim:
+                raise DataError(f"{path}:{lineno}: embedding must be a list of {store.dim} numbers")
+            try:
+                matrix[i] = embedding
+            except (TypeError, ValueError) as exc:
+                raise DataError(f"{path}:{lineno}: embedding must be a list of {store.dim} numbers") from exc
             chunks.append(chunk)
-        store.add_chunks(chunks)
+        # numpy stores a null as NaN, so check here, where the line is known
+        finite = np.isfinite(matrix).all(axis=1)
+        if not finite.all():
+            lineno = lines[int(np.argmin(finite)) + 1][0]
+            raise DataError(f"{path}:{lineno}: embedding has a null or non-finite value")
+        store.add_chunks(chunks, matrix)
         return store
 
 
@@ -360,17 +373,9 @@ def ingest(
     if not pieces:
         return 0
     vectors = provider.embed([piece for _, piece in pieces])
-    new_chunks = [
-        Chunk(
-            id=f"{doc_id}:{offset}",
-            doc_id=doc_id,
-            text=piece,
-            embedding=tuple(float(x) for x in vectors[i]),
-        )
-        for i, (offset, piece) in enumerate(pieces)
-    ]
-    store.add_chunks(new_chunks)
-    return len(new_chunks)
+    new_chunks = [Chunk(id=f"{doc_id}:{offset}", doc_id=doc_id, text=piece) for offset, piece in pieces]
+    store.add_chunks(new_chunks, vectors)
+    return len(pieces)
 
 
 def retrieve(

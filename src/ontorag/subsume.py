@@ -187,13 +187,8 @@ def render_corpus(corpus: Iterable[SubsumptionPair]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def write_corpus(path: str, corpus: Iterable[SubsumptionPair]) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(render_corpus(corpus))
-
-
 def read_corpus(path: str) -> list[SubsumptionPair]:
-    """Read a labeled corpus written by :func:`write_corpus`."""
+    """Read a labeled corpus in the form :func:`render_corpus` produces."""
     with open(path, "r", encoding="utf-8") as fh:
         raw = fh.read()
     lines = [line for line in raw.split("\n") if line]

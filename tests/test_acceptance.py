@@ -210,11 +210,8 @@ def test_criterion_5_retrieval_matches_ranking_oracle(capsys):
         store = VectorStore(dim=dim, provider_name="deterministic", created=1)
         ids = [f"d{i % 7}:{i:04d}" for i in range(n)]
         store.add_chunks(
-            [
-                Chunk(id=ids[i], doc_id=ids[i].split(":")[0], text=f"chunk {i}",
-                      embedding=tuple(float(x) for x in matrix[i]))
-                for i in range(n)
-            ]
+            [Chunk(id=ids[i], doc_id=ids[i].split(":")[0], text=f"chunk {i}") for i in range(n)],
+            matrix,
         )
 
         norms = np.linalg.norm(matrix, axis=1)

@@ -13,7 +13,7 @@ from ontorag.align import (
     class_score,
     lexical_score,
     read_mappings,
-    write_mappings,
+    render_mappings,
 )
 from ontorag.errors import DataError, ProviderError
 from ontorag.model import Ontology, OntologyClass
@@ -143,11 +143,11 @@ def test_align_concurrent_scorer_is_deterministic():
 
 def test_mapping_tsv_round_trip(tmp_path, fixture_mappings):
     path = tmp_path / "m.tsv"
-    write_mappings(str(path), fixture_mappings)
+    path.write_text(render_mappings(fixture_mappings), encoding="utf-8")
     assert read_mappings(str(path)) == fixture_mappings
     # repr floats survive exactly
     odd = [EquivalenceMapping("http://a/#1", "http://b/#1", 0.1 + 0.2)]
-    write_mappings(str(path), odd)
+    path.write_text(render_mappings(odd), encoding="utf-8")
     assert read_mappings(str(path))[0].score == 0.1 + 0.2
 
 

@@ -2,14 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ontorag.infiltrate import (
-    AugmentedPrompt,
-    detokenize,
-    infiltrate,
-    strip_suffix,
-    tokenize,
-    tokenize_prompt,
-)
+from ontorag.infiltrate import AugmentedPrompt, infiltrate, strip_suffix
 from ontorag.subsume import SubsumptionDictionary
 
 EMPTY = SubsumptionDictionary(entries={})
@@ -19,19 +12,32 @@ def _dict(**entries):
     return SubsumptionDictionary(entries={k.replace("_", " "): tuple(v) for k, v in entries.items()})
 
 
-def test_tokenize():
-    assert tokenize("What? About COVID-19!") == ["what", "about", "covid", "19"]
-    assert tokenize("") == []
-    assert detokenize(["a", "b"]) == "a b"
-    tp = tokenize_prompt("Hi there")
-    assert tp.tokens == ("hi", "there")
-    assert tp.text == "Hi there"
-
-
 def test_strip_suffix():
-    assert strip_suffix("q (related: a, b)") == "q"
-    assert strip_suffix("q (related: a, b) more") == "q (related: a, b) more"
-    assert strip_suffix("plain") == "plain"
+    d = _dict(x=["a", "b"])
+    assert strip_suffix("q (related: a, b)", d) == "q"
+    assert strip_suffix("q (related: a, b) more", d) == "q (related: a, b) more"
+    assert strip_suffix("plain", d) == "plain"
+    # only a suffix made entirely of dictionary terms is ours to strip
+    assert strip_suffix("q (related: a, c)", d) == "q (related: a, c)"
+    assert strip_suffix("q (related: )", d) == "q (related: )"
+
+
+def test_user_related_text_is_kept():
+    out = infiltrate("cough (related: x)", _dict(cough=["dry cough"]))
+    assert out.augmented == "cough (related: x) (related: dry cough)"
+    again = infiltrate(out.augmented, _dict(cough=["dry cough"]))
+    assert again.augmented == out.augmented
+
+
+def test_terms_with_parentheses_and_commas_are_recognized():
+    d = _dict(fever=["fever (finding)", "pain, chronic"], finding=["lab finding"])
+    once = infiltrate("I have fever", d)
+    assert once.augmented == "I have fever (related: fever (finding), pain, chronic)"
+    assert strip_suffix(once.augmented, d) == "I have fever"
+    # left in place, the suffix would match the "finding" anchor on re-entry
+    twice = infiltrate(once.augmented, d)
+    assert twice.augmented == once.augmented
+    assert twice.appended == once.appended
 
 
 def test_single_anchor(fixture_dictionary):

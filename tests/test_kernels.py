@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from ontorag._kernels import (
     HAVE_NUMBA,
-    _cosine_scan_np,
     _levenshtein_np,
     cosine_scan,
     encode_text,
@@ -79,16 +78,6 @@ def test_cosine_scan_zero_norm_rows_score_zero():
     out = cosine_scan(matrix, norms, q, float(np.linalg.norm(q)))
     assert out[0] == 0.0 and out[2] == 0.0
     assert out[1] == pytest.approx(1.0)
-
-
-def test_both_cosine_paths_agree():
-    rng = np.random.default_rng(3)
-    matrix, norms, q, qn = _random_store(rng, rows=120, dim=32)
-    np.testing.assert_allclose(
-        cosine_scan(matrix, norms, q, qn),
-        _cosine_scan_np(matrix, norms, q, qn),
-        atol=1e-12,
-    )
 
 
 def test_env_flag_selects_numpy_path(child_pythonpath):

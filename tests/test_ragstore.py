@@ -112,35 +112,59 @@ def _mini_store(dim=8):
 
 
 def _chunk(cid, vec, doc="d", text="t"):
-    return Chunk(id=cid, doc_id=doc, text=text, embedding=tuple(float(x) for x in vec))
+    return Chunk(id=cid, doc_id=doc, text=text), vec
+
+
+def _add(store, *pairs):
+    store.add_chunks([chunk for chunk, _ in pairs], np.array([vec for _, vec in pairs]))
 
 
 class TestVectorStore:
     def test_add_validates_before_mutating(self):
         store = _mini_store()
-        good = _chunk("d:0", np.ones(8))
-        bad = _chunk("d:1", np.ones(4))
-        with pytest.raises(DataError):
-            store.add_chunks([good, bad])
+        chunks = [Chunk("d:0", "d", "t"), Chunk("d:1", "d", "t")]
+        for vectors in (np.ones((2, 4)), np.ones((1, 8)), np.ones(8)):
+            with pytest.raises(DataError):
+                store.add_chunks(chunks, vectors)
         assert len(store) == 0
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_vectors_rejected(self, bad):
+        store = _mini_store()
+        _add(store, _chunk("d:0", np.ones(8)))
+        vectors = np.ones((2, 8))
+        vectors[1, 3] = bad
+        with pytest.raises(DataError, match="d:2"):
+            store.add_chunks([Chunk("d:1", "d", "t"), Chunk("d:2", "d", "t")], vectors)
+        assert [c.id for c in store.chunks] == ["d:0"]
+        np.testing.assert_array_equal(store.matrix, np.ones((1, 8)))
+        np.testing.assert_array_equal(store.norms, [np.sqrt(8)])
+
+    def test_rows_follow_chunk_id_order(self):
+        store = _mini_store()
+        e = np.eye(8)
+        _add(store, _chunk("d:c", e[2]), _chunk("d:a", e[0]))
+        _add(store, _chunk("d:b", e[1]))
+        assert [c.id for c in store.chunks] == ["d:a", "d:b", "d:c"]
+        np.testing.assert_array_equal(store.matrix, e[:3])
+        assert store.matrix.flags.c_contiguous
 
     def test_duplicate_ids_rejected(self):
         store = _mini_store()
-        store.add_chunks([_chunk("d:0", np.ones(8))])
+        _add(store, _chunk("d:0", np.ones(8)))
         with pytest.raises(DataError):
-            store.add_chunks([_chunk("d:0", np.ones(8))])
+            _add(store, _chunk("d:0", np.ones(8)))
         with pytest.raises(DataError):
-            store.add_chunks([_chunk("d:1", np.ones(8)), _chunk("d:1", np.ones(8))])
+            _add(store, _chunk("d:1", np.ones(8)), _chunk("d:1", np.ones(8)))
 
     def test_nearest_ranking(self):
         store = _mini_store()
         e = np.eye(8)
-        store.add_chunks(
-            [
-                _chunk("d:0", e[0]),
-                _chunk("d:1", (e[0] + e[1]) / np.sqrt(2)),
-                _chunk("d:2", e[1]),
-            ]
+        _add(
+            store,
+            _chunk("d:0", e[0]),
+            _chunk("d:1", (e[0] + e[1]) / np.sqrt(2)),
+            _chunk("d:2", e[1]),
         )
         hits = store.nearest(e[0], k=2)
         assert [c.id for c, _ in hits] == ["d:0", "d:1"]
@@ -150,14 +174,14 @@ class TestVectorStore:
     def test_nearest_tie_breaks_on_id(self):
         store = _mini_store()
         v = np.ones(8)
-        store.add_chunks([_chunk("d:b", v), _chunk("d:a", v), _chunk("d:c", v)])
+        _add(store, _chunk("d:b", v), _chunk("d:a", v), _chunk("d:c", v))
         hits = store.nearest(v, k=3)
         assert [c.id for c, _ in hits] == ["d:a", "d:b", "d:c"]
 
     def test_nearest_edge_cases(self):
         store = _mini_store()
         assert store.nearest(np.ones(8), k=3) == []
-        store.add_chunks([_chunk("d:0", np.ones(8))])
+        _add(store, _chunk("d:0", np.ones(8)))
         with pytest.raises(DataError):
             store.nearest(np.ones(8), k=0)
         with pytest.raises(DataError):
@@ -168,12 +192,12 @@ class TestVectorStore:
 
     def test_doc_ids(self):
         store = _mini_store()
-        store.add_chunks([_chunk("b:0", np.ones(8), doc="b"), _chunk("a:0", np.ones(8), doc="a")])
+        _add(store, _chunk("b:0", np.ones(8), doc="b"), _chunk("a:0", np.ones(8), doc="a"))
         assert store.doc_ids() == ["a", "b"]
 
     def test_save_load_round_trip(self, tmp_path, embedder, handbook_store):
         path = tmp_path / "store.jsonl"
-        handbook_store.save(str(path))
+        path.write_text(handbook_store.to_jsonl(), encoding="utf-8")
         loaded = VectorStore.load(str(path))
         assert loaded.dim == handbook_store.dim
         assert loaded.provider_name == handbook_store.provider_name
@@ -181,6 +205,8 @@ class TestVectorStore:
         assert sorted(loaded.chunks, key=lambda c: c.id) == sorted(
             handbook_store.chunks, key=lambda c: c.id
         )
+        np.testing.assert_array_equal(loaded.matrix, handbook_store.matrix)
+        np.testing.assert_array_equal(loaded.norms, handbook_store.norms)
         # saving what was loaded reproduces the bytes
         assert loaded.to_jsonl() == handbook_store.to_jsonl()
 
@@ -205,6 +231,31 @@ class TestVectorStore:
         row = json.dumps({"id": "a", "doc_id": "d", "text": "t", "embedding": [1.0] * 4})
         path.write_text(header + row + "\n", encoding="utf-8")
         with pytest.raises(DataError):
+            VectorStore.load(str(path))
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            {"embedding": [1.0] * 7 + [None]},
+            {"embedding": [1.0] * 7},
+            {"embedding": [1.0] * 9},
+            {"embedding": "1" * 8},
+            {"embedding": 1.0},
+            {"embedding": None},
+            {"embedding": [1.0] * 7 + ["x"]},
+            {"embedding": [1.0] * 7 + [[1.0]]},
+            {"embedding": [1.0] * 7 + [float("nan")]},
+            {"id": 5},
+        ],
+    )
+    def test_bad_row_names_its_line(self, tmp_path, bad):
+        header = '{"dim": 8, "provider": "p", "created": 1}\n'
+        good = {"id": "a", "doc_id": "d", "text": "t", "embedding": [1.0] * 8}
+        rows = [good, {**good, "id": "b", **bad}, {**good, "id": "c"}]
+        path = tmp_path / "s.jsonl"
+        # the blank line counts: errors name the line a text editor shows
+        path.write_text(header + "\n" + "".join(json.dumps(r) + "\n" for r in rows), encoding="utf-8")
+        with pytest.raises(DataError, match=r"s\.jsonl:4: "):
             VectorStore.load(str(path))
 
 

@@ -9,7 +9,7 @@ from ontorag.subsume import (
     build_subsumption_corpus,
     predict_subsumptions,
     read_corpus,
-    write_corpus,
+    render_corpus,
 )
 
 CS = "http://example.org/clinical-signs#"
@@ -177,7 +177,7 @@ def test_dictionary_json_validation():
 def test_corpus_tsv_round_trip(tmp_path, source_onto, target_onto, fixture_mappings):
     corpus = build_subsumption_corpus(source_onto, target_onto, fixture_mappings, seed=0)
     path = tmp_path / "c.tsv"
-    write_corpus(str(path), corpus)
+    path.write_text(render_corpus(corpus), encoding="utf-8")
     assert read_corpus(str(path)) == corpus
 
 
