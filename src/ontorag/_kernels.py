@@ -1,35 +1,16 @@
-"""Hot numeric kernels: Levenshtein distance and dense cosine scans.
+"""Hot kernels: Levenshtein distance and dense cosine scans.
 
-The cosine scan is one NumPy matrix-vector product on every install.
-Levenshtein alone ships in two variants: a numba ``@njit`` build and a pure
-NumPy fallback. The fallback is selected when numba is unavailable or when
-``ONTORAG_NO_NUMBA=1`` is set (read once at import time).
+Each operation has exactly one implementation. The cosine scan is one NumPy
+matrix-vector product. Levenshtein is the Myers/Hyyrö bit-parallel algorithm
+(Myers, JACM 1999; Hyyrö 2003) on Python ints: one column of the edit-distance
+table is held as bit vectors of vertical +1/-1 deltas and updated with a
+handful of word operations per character. Python ints are unbounded, so
+strings of any length take the same path.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
-
-
-def _levenshtein_np(a: np.ndarray, b: np.ndarray) -> int:
-    """Row-vectorized edit-distance DP over code-point arrays."""
-    n = b.shape[0]
-    if a.shape[0] == 0:
-        return n
-    if n == 0:
-        return int(a.shape[0])
-    idx = np.arange(n + 1)
-    prev = idx.copy()
-    cur = np.empty(n + 1, dtype=np.int64)
-    for i in range(a.shape[0]):
-        cur[0] = i + 1
-        cur[1:] = np.minimum(prev[:-1] + (b != a[i]), prev[1:] + 1)
-        # Propagate insertions left to right: cur[j] <- min_k<=j cur[k] + (j - k)
-        cur = np.minimum.accumulate(cur - idx) + idx
-        prev, cur = cur, prev
-    return int(prev[n])
 
 
 def cosine_scan(matrix: np.ndarray, norms: np.ndarray, query: np.ndarray, qnorm: float) -> np.ndarray:
@@ -41,59 +22,34 @@ def cosine_scan(matrix: np.ndarray, norms: np.ndarray, query: np.ndarray, qnorm:
     return out
 
 
-def _levenshtein_loop(a: np.ndarray, b: np.ndarray) -> int:
-    m = a.shape[0]
-    n = b.shape[0]
-    if m == 0:
-        return n
-    if n == 0:
-        return m
-    prev = np.arange(n + 1)
-    cur = np.empty(n + 1, dtype=np.int64)
-    for i in range(m):
-        cur[0] = i + 1
-        for j in range(1, n + 1):
-            cost = prev[j - 1]
-            if a[i] != b[j - 1]:
-                cost += 1
-            dele = prev[j] + 1
-            ins = cur[j - 1] + 1
-            best = cost
-            if dele < best:
-                best = dele
-            if ins < best:
-                best = ins
-            cur[j] = best
-        prev, cur = cur, prev
-    return int(prev[n])
-
-
-_env = os.environ.get("ONTORAG_NO_NUMBA", "")
-NUMBA_DISABLED = _env not in ("", "0")
-
-try:
-    if NUMBA_DISABLED:
-        raise ImportError("numba disabled via ONTORAG_NO_NUMBA")
-    from numba import njit
-
-    HAVE_NUMBA = True
-except ImportError:
-    HAVE_NUMBA = False
-
-if HAVE_NUMBA:
-    _levenshtein_nb = njit(cache=True)(_levenshtein_loop)
-    levenshtein_codes = _levenshtein_nb
-else:
-    levenshtein_codes = _levenshtein_np
-
-
-def encode_text(s: str) -> np.ndarray:
-    """Code-point array for the Levenshtein kernels."""
-    return np.fromiter(map(ord, s), dtype=np.int32, count=len(s))
-
-
 def levenshtein(a: str, b: str) -> int:
     """Edit distance (insert/delete/substitute, unit costs) between strings."""
     if a == b:
         return 0
-    return int(levenshtein_codes(encode_text(a), encode_text(b)))
+    if len(a) < len(b):
+        a, b = b, a
+    if not b:
+        return len(a)
+    # The longer string is the pattern (one bit per character), so the loop
+    # runs over the shorter one.
+    peq: dict[str, int] = {}
+    for i, ch in enumerate(a):
+        peq[ch] = peq.get(ch, 0) | (1 << i)
+    mask = (1 << len(a)) - 1
+    last = 1 << (len(a) - 1)
+    pv, mv, dist = mask, 0, len(a)
+    for ch in b:
+        eq = peq.get(ch, 0)
+        xv = eq | mv
+        xh = (((eq & pv) + pv) ^ pv) | eq
+        ph = mv | ~(xh | pv)
+        mh = pv & xh
+        if ph & last:
+            dist += 1
+        elif mh & last:
+            dist -= 1
+        ph = (ph << 1) | 1
+        mh <<= 1
+        pv = (mh | ~(xv | ph)) & mask
+        mv = ph & xv & mask
+    return dist

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import os
+import sys
 from dataclasses import dataclass
 from typing import IO, Protocol, Sequence
 
@@ -202,7 +203,9 @@ def chat_repl(
     """Line-oriented chat loop; `/quit` or EOF ends it.
 
     Blank lines are skipped. Every turn is echoed to ``output_stream`` and,
-    when ``log_path`` is set, appended there as one JSON object per line.
+    when ``log_path`` is set, appended there as one JSON object per line. A
+    ProviderError on one line is reported on stderr and that turn is dropped;
+    the loop goes on with the next line.
     """
     turns: list[ChatTurn] = []
     log_fh = open(log_path, "a", encoding="utf-8") if log_path else None
@@ -213,10 +216,14 @@ def chat_repl(
                 continue
             if question == "/quit":
                 break
-            result = answer(
-                store, provider, llm, question,
-                dictionary=dictionary, k=k, fuzzy=fuzzy, bare=bare,
-            )
+            try:
+                result = answer(
+                    store, provider, llm, question,
+                    dictionary=dictionary, k=k, fuzzy=fuzzy, bare=bare,
+                )
+            except ProviderError as exc:
+                print(f"provider error: {exc}", file=sys.stderr, flush=True)
+                continue
             turn = ChatTurn(
                 ts=_now(),
                 question=result.question,

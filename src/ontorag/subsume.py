@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Sequence
 
 from .align import EQUIV, SUBSUMED_BY, EquivalenceMapping, SynonymyScorer
@@ -112,16 +113,20 @@ def predict_subsumptions(
     return accepted
 
 
-@dataclass
+@dataclass(frozen=True)
 class SubsumptionDictionary:
-    """Normalized concept label -> narrower display labels, best first."""
+    """Normalized concept label -> narrower display labels, best first.
+
+    ``entries`` is read-only after construction: values derived from it,
+    such as ``max_key_word_count``, are computed once and cached.
+    """
 
     entries: dict[str, tuple[str, ...]] = field(default_factory=dict)
 
     def lookup(self, text: str) -> tuple[str, ...]:
         return self.entries.get(normalize_label(text), ())
 
-    @property
+    @cached_property
     def max_key_word_count(self) -> int:
         if not self.entries:
             return 0

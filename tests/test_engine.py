@@ -193,6 +193,29 @@ def test_chat_repl_eof_and_append(handbook_store, embedder, tmp_path):
     assert len(lines) == 2
 
 
+def test_chat_repl_survives_provider_error(handbook_store, embedder, tmp_path, capsys):
+    class FlakyLlm:
+        name = "flaky"
+
+        def __init__(self):
+            self.calls = 0
+
+        def complete(self, system, user):
+            self.calls += 1
+            if self.calls == 1:
+                raise RuntimeError("model fell over")
+            return "fine"
+
+    log = tmp_path / "chat.jsonl"
+    turns = chat_repl(
+        handbook_store, embedder, FlakyLlm(), None,
+        io.StringIO("first question\nsecond question\n"), io.StringIO(), log_path=str(log),
+    )
+    assert [t.question for t in turns] == ["second question"]
+    assert len(log.read_text(encoding="utf-8").splitlines()) == 1
+    assert "provider error: complete stage failed: model fell over" in capsys.readouterr().err
+
+
 def test_chat_repl_no_log(handbook_store, embedder):
     turns = chat_repl(
         handbook_store, embedder, EchoLlm(), None, io.StringIO("/quit\n"), io.StringIO()

@@ -1,7 +1,10 @@
 import pytest
 
+import ontorag.subsume
 from ontorag.align import EquivalenceMapping, LexicalScorer
 from ontorag.errors import DataError, UnknownClassError
+from ontorag.infiltrate import infiltrate
+from ontorag.model import label_tokens
 from ontorag.subsume import (
     SubsumptionDictionary,
     SubsumptionPair,
@@ -151,6 +154,20 @@ def test_dictionary_lookup_normalizes(fixture_dictionary):
     assert fixture_dictionary.lookup("Constipation") == ("acute constipation", "chronic constipation")
     assert fixture_dictionary.lookup("  chest-pain ") == ("crushing chest pain",)
     assert fixture_dictionary.lookup("unknown thing") == ()
+
+
+def test_max_key_word_count_tokenizes_each_anchor_once(monkeypatch):
+    calls = []
+
+    def counting(text):
+        calls.append(text)
+        return label_tokens(text)
+
+    monkeypatch.setattr(ontorag.subsume, "label_tokens", counting)
+    d = SubsumptionDictionary(entries={"cough": ("dry cough",), "chest pain": ("crushing chest pain",)})
+    for prompt in ("a cough", "chest pain again", "nothing here"):
+        infiltrate(prompt, d)
+    assert len(calls) == len(d.entries)
 
 
 def test_dictionary_json_round_trip(fixture_dictionary):
