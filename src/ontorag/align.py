@@ -8,9 +8,9 @@ literal relation tag ``EQUIV``. Scoring is pluggable; the default
 
 from __future__ import annotations
 
-import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from itertools import groupby
+from operator import itemgetter
 from typing import Iterable, Protocol, Sequence
 
 import numpy as np
@@ -27,16 +27,14 @@ _HEADER = "source_iri\ttarget_iri\tscore\trelation"
 # Blocking keeps a cross-ontology pair only when the two classes share a
 # token at least this long somewhere in their labels or synonyms.
 MIN_BLOCK_TOKEN = 3
-# Candidate count above which a concurrent scorer is actually used.
-CONCURRENCY_FLOOR = 500
 
 
 class SynonymyScorer(Protocol):
-    """Scores two label strings for synonymy in ``[0, 1]``."""
+    """Scores a batch of label pairs for synonymy, each in ``[0, 1]``."""
 
-    max_in_flight: int
-
-    def score(self, text_a: str, text_b: str) -> float: ...
+    def score_many(self, pairs: Sequence[tuple[str, str]]) -> list[float]:
+        """One score per pair, in input order."""
+        ...
 
 
 def lexical_score(text_a: str, text_b: str) -> float:
@@ -60,40 +58,33 @@ def lexical_score(text_a: str, text_b: str) -> float:
 
 
 class LexicalScorer:
-    """Default scorer backed by :func:`lexical_score`. Thread-safe, no state."""
+    """Default scorer backed by :func:`lexical_score`; it holds no state."""
 
-    max_in_flight = 1
-
-    def score(self, text_a: str, text_b: str) -> float:
-        return lexical_score(text_a, text_b)
+    def score_many(self, pairs: Sequence[tuple[str, str]]) -> list[float]:
+        return [lexical_score(a, b) for a, b in pairs]
 
 
 class EmbeddingScorer:
     """Scores label pairs by cosine of their embeddings, clamped to [0, 1].
 
-    ``provider`` is any object with ``embed(texts) -> ndarray``; vectors are
-    cached per text under a lock so repeated labels cost one call.
+    ``provider`` is any object with ``embed(texts) -> ndarray``. Vectors are
+    kept per text, so each distinct text is embedded once per scorer; a
+    batch embeds its unseen texts in one sorted ``embed`` call.
     """
 
     def __init__(self, provider) -> None:
         self._provider = provider
         self._cache: dict[str, np.ndarray] = {}
-        self._lock = threading.Lock()
-        self.max_in_flight = int(getattr(provider, "max_in_flight", 1))
 
-    def _vector(self, text: str) -> np.ndarray:
-        with self._lock:
-            hit = self._cache.get(text)
-        if hit is not None:
-            return hit
-        vec = np.asarray(self._provider.embed([text])[0], dtype=np.float64)
-        with self._lock:
-            self._cache[text] = vec
-        return vec
+    def score_many(self, pairs: Sequence[tuple[str, str]]) -> list[float]:
+        unseen = sorted({text for pair in pairs for text in pair} - self._cache.keys())
+        if unseen:
+            rows = np.asarray(self._provider.embed(unseen), dtype=np.float64)
+            self._cache.update(zip(unseen, rows, strict=True))
+        return [self._cosine(self._cache[a], self._cache[b]) for a, b in pairs]
 
-    def score(self, text_a: str, text_b: str) -> float:
-        va = self._vector(text_a)
-        vb = self._vector(text_b)
+    @staticmethod
+    def _cosine(va: np.ndarray, vb: np.ndarray) -> float:
         na = float(np.linalg.norm(va))
         nb = float(np.linalg.norm(vb))
         if na == 0.0 or nb == 0.0:
@@ -136,43 +127,31 @@ def candidate_pairs(source: Ontology, target: Ontology) -> list[tuple[ClassIri, 
     return pairs
 
 
-def class_score(scorer: SynonymyScorer, a: OntologyClass, b: OntologyClass) -> float:
-    """Best scorer value over every (label-or-synonym, label-or-synonym) pair."""
-    best = 0.0
-    for ta in a.normalized_texts:
-        for tb in b.normalized_texts:
-            value = scorer.score(ta, tb)
-            if value > best:
-                best = value
-    return best
-
-
 def _score_pairs(
     scorer: SynonymyScorer,
     source: Ontology,
     target: Ontology,
     pairs: Sequence[tuple[ClassIri, ClassIri]],
 ) -> list[float]:
-    def one(pair: tuple[ClassIri, ClassIri]) -> float:
-        return class_score(scorer, source.classes[pair[0]], target.classes[pair[1]])
+    """Class-level score of each pair: its best text-pair score, 0.0 if none.
 
-    workers = int(getattr(scorer, "max_in_flight", 1))
-    if workers > 1 and len(pairs) > CONCURRENCY_FLOOR:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(one, pair) for pair in pairs]
-            scores = []
-            for pair, fut in zip(pairs, futures):
-                try:
-                    scores.append(fut.result())
-                except Exception as exc:
-                    raise ProviderError(f"scoring failed for pair {pair[0]} / {pair[1]}: {exc}") from exc
-            return scores
-    scores = []
-    for pair in pairs:
+    The scorer gets one batch per run of pairs that share a source class, so
+    source-major ``pairs`` make one batch per source class.
+    """
+    scores: list[float] = []
+    for s_iri, run in groupby(pairs, key=itemgetter(0)):
+        s_texts = source.classes[s_iri].normalized_texts
+        blocks = [target.classes[t_iri].normalized_texts for _, t_iri in run]
+        batch = [(a, b) for t_texts in blocks for a in s_texts for b in t_texts]
         try:
-            scores.append(one(pair))
+            values = scorer.score_many(batch)
         except Exception as exc:
-            raise ProviderError(f"scoring failed for pair {pair[0]} / {pair[1]}: {exc}") from exc
+            raise ProviderError(f"scoring failed for {s_iri}: {exc}") from exc
+        start = 0
+        for t_texts in blocks:
+            end = start + len(s_texts) * len(t_texts)
+            scores.append(max(values[start:end], default=0.0))
+            start = end
     return scores
 
 
@@ -187,7 +166,7 @@ def align(
 
     Every candidate pair whose class-level score is >= ``threshold`` becomes a
     mapping. A class may appear in any number of mappings. Results are sorted
-    by (source, target) and independent of scorer concurrency.
+    by (source, target).
     """
     if scorer is None:
         scorer = LexicalScorer()

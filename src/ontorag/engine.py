@@ -16,7 +16,7 @@ from typing import IO, Protocol, Sequence
 
 from .errors import DataError, ProviderError
 from .infiltrate import AugmentedPrompt, infiltrate
-from .ragstore import EmbeddingProvider, VectorStore, _now
+from .ragstore import EmbeddingProvider, VectorStore, _now, retrieve
 from .subsume import SubsumptionDictionary
 
 SYSTEM_PREFIX = "Answer using only the context below.\nContext:\n"
@@ -119,25 +119,20 @@ def answer(
 
     When a dictionary is given the question is infiltrated first and the
     augmented form drives retrieval. Provider failures surface as
-    ProviderError naming the stage (embed, retrieve, complete).
+    ProviderError naming the stage (embed, complete).
     """
     if not question.strip():
         raise DataError("question must be non-empty")
-    if provider.name != store.provider_name:
-        raise DataError(
-            f"provider {provider.name!r} does not match store provider {store.provider_name!r}"
-        )
     if dictionary is not None:
         aug: AugmentedPrompt = infiltrate(question, dictionary, fuzzy=fuzzy, bare=bare)
     else:
         aug = AugmentedPrompt(original=question, augmented=question, matched=(), appended=())
     try:
-        query = provider.embed([aug.augmented])[0]
+        hits = retrieve(store, aug.augmented, provider, k)
     except DataError:
         raise
     except Exception as exc:
         raise ProviderError(f"embed stage failed: {exc}") from exc
-    hits = store.nearest(query, k)
     system, user = render_request(aug.augmented, [chunk.text for chunk, _ in hits])
     try:
         response = llm.complete(system, user)

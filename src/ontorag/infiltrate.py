@@ -52,9 +52,9 @@ def strip_suffix(text: str, dictionary: SubsumptionDictionary) -> str:
 
 def _fuzzy_anchor(key: str, word_count: int, dictionary: SubsumptionDictionary) -> str | None:
     best: tuple[int, str] | None = None
-    for anchor in dictionary.entries:
-        if len(label_tokens(anchor)) != word_count:
-            continue
+    for anchor in dictionary.anchors_by_word_count.get(word_count, ()):
+        if abs(len(key) - len(anchor)) > FUZZY_MAX_EDITS:
+            continue  # the edit distance is at least the length difference
         dist = levenshtein(key, anchor)
         if dist <= FUZZY_MAX_EDITS and (best is None or (dist, anchor) < best):
             best = (dist, anchor)

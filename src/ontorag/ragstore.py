@@ -35,7 +35,6 @@ class EmbeddingProvider(Protocol):
 
     name: str
     dim: int
-    max_in_flight: int
 
     def embed(self, texts: Sequence[str]) -> np.ndarray: ...
 
@@ -63,7 +62,6 @@ class DeterministicEmbedder:
     """Offline provider built on :func:`deterministic_embed`."""
 
     name = "deterministic"
-    max_in_flight = 1
 
     def __init__(self, dim: int = DEFAULT_DIM) -> None:
         if dim < MIN_DIM:

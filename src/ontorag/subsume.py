@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import random
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Sequence
@@ -62,11 +63,13 @@ def build_subsumption_corpus(
     if negatives_per_positive == 0:
         return pairs
     all_targets = target.sorted_iris()
+    # Every positive's candidate is a target class, so a concept has no open
+    # negative slot exactly when its positives cover the whole target.
+    per_concept = Counter(concept for concept, _ in ordered)
     rng = random.Random(seed)
     negatives: list[SubsumptionPair] = []
     for concept, _ in ordered:
-        open_slots = sum(1 for t in all_targets if (concept, t) not in positives)
-        if open_slots == 0:
+        if per_concept[concept] == len(all_targets):
             raise DataError(f"no negative candidates available for {concept}")
         for _ in range(negatives_per_positive):
             while True:
@@ -90,25 +93,14 @@ def predict_subsumptions(
     negatives are rejected only if they actually score low. Output rows carry
     the SUBSUMED_BY relation, deduplicated and sorted by (concept, candidate).
     """
-    seen: set[tuple[ClassIri, ClassIri]] = set()
-    accepted: list[EquivalenceMapping] = []
-    for pair in corpus:
-        key = (pair.concept, pair.candidate)
-        if key in seen:
-            continue
-        seen.add(key)
-        concept_label = source.get(pair.concept).display_label
-        candidate_label = target.get(pair.candidate).display_label
-        score = scorer.score(concept_label, candidate_label)
-        if score >= threshold:
-            accepted.append(
-                EquivalenceMapping(
-                    source=pair.concept,
-                    target=pair.candidate,
-                    score=score,
-                    relation=SUBSUMED_BY,
-                )
-            )
+    keys = list(dict.fromkeys((pair.concept, pair.candidate) for pair in corpus))
+    labels = [(source.get(c).display_label, target.get(d).display_label) for c, d in keys]
+    scores = scorer.score_many(labels)
+    accepted = [
+        EquivalenceMapping(source=c, target=d, score=score, relation=SUBSUMED_BY)
+        for (c, d), score in zip(keys, scores, strict=True)
+        if score >= threshold
+    ]
     accepted.sort(key=lambda m: (m.source, m.target))
     return accepted
 
@@ -118,7 +110,7 @@ class SubsumptionDictionary:
     """Normalized concept label -> narrower display labels, best first.
 
     ``entries`` is read-only after construction: values derived from it,
-    such as ``max_key_word_count``, are computed once and cached.
+    such as ``anchors_by_word_count``, are computed once and cached.
     """
 
     entries: dict[str, tuple[str, ...]] = field(default_factory=dict)
@@ -127,10 +119,16 @@ class SubsumptionDictionary:
         return self.entries.get(normalize_label(text), ())
 
     @cached_property
+    def anchors_by_word_count(self) -> dict[int, tuple[str, ...]]:
+        """Anchors grouped by their token count."""
+        groups: dict[int, list[str]] = {}
+        for key in self.entries:
+            groups.setdefault(len(label_tokens(key)), []).append(key)
+        return {n: tuple(keys) for n, keys in groups.items()}
+
+    @property
     def max_key_word_count(self) -> int:
-        if not self.entries:
-            return 0
-        return max(len(label_tokens(key)) for key in self.entries)
+        return max(self.anchors_by_word_count, default=0)
 
     def to_json(self) -> str:
         payload = {"entries": {k: list(v) for k, v in sorted(self.entries.items())}}

@@ -15,6 +15,7 @@ line so the verdicts stay visible in the pytest stream:
 """
 
 import contextlib
+import hashlib
 import json
 import math
 import random
@@ -111,6 +112,16 @@ def _run_pipeline(fixture_dir, out_dir):
         assert cli_main(argv) == 0, argv
 
 
+# SHA-256 of the fixture pipeline's artifacts under SOURCE_DATE_EPOCH=1700000000.
+# The store JSONL is left out on purpose: its format is expected to change.
+PIPELINE_SHA256 = {
+    "mappings.tsv": "10dcb1a48d70b2a55bcfff023b516fc61af9cc3c20e0564201b1d109cd4cba67",
+    "corpus.tsv": "7f1a99e78a04d9094b13c513ce2203c32aba3d60004fa8d31e6ef1a2ad920b77",
+    "dict.json": "f4f10ff5221114328880e10761ac2609a43ed9fd185b91844478277ba1f58e7d",
+    "summary.tsv": "a84e934e92a0c389f0ae928483b6e32f8f731dcc5286dd0cadfa2b3df2727538",
+}
+
+
 def test_criterion_3_pipeline_reproducible_and_improving(capsys, tmp_path, monkeypatch):
     with criterion(capsys, 3, "fixture pipeline is byte-identical and improves contextual cosine"):
         monkeypatch.setenv("SOURCE_DATE_EPOCH", "1700000000")
@@ -127,6 +138,8 @@ def test_criterion_3_pipeline_reproducible_and_improving(capsys, tmp_path, monke
             runs.append({a: (out_dir / a).read_bytes() for a in artifacts})
         capsys.readouterr()
         assert runs[0] == runs[1]
+        digests = {a: hashlib.sha256(runs[0][a]).hexdigest() for a in PIPELINE_SHA256}
+        assert digests == PIPELINE_SHA256
 
         summary = runs[0]["summary.tsv"].decode("utf-8")
         row = next(

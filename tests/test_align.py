@@ -1,5 +1,4 @@
-import threading
-
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -10,14 +9,13 @@ from ontorag.align import (
     LexicalScorer,
     align,
     candidate_pairs,
-    class_score,
     lexical_score,
     read_mappings,
     render_mappings,
 )
 from ontorag.errors import DataError, ProviderError
 from ontorag.model import Ontology, OntologyClass
-from ontorag.ragstore import DeterministicEmbedder
+from ontorag.ragstore import DeterministicEmbedder, deterministic_embed
 
 CS = "http://example.org/clinical-signs#"
 S = "http://purl.obolibrary.org/obo/"
@@ -45,6 +43,10 @@ class TestLexicalScore:
         assert 0.0 <= s <= 1.0
         assert s == lexical_score(b, a)
 
+    @given(st.lists(st.tuples(st.text(max_size=20), st.text(max_size=20)), max_size=8))
+    def test_scorer_batch_matches_pairwise(self, pairs):
+        assert LexicalScorer().score_many(pairs) == [lexical_score(a, b) for a, b in pairs]
+
 
 def _cls(iri, label, synonyms=()):
     return OntologyClass(iri=iri, label=label, synonyms=frozenset(synonyms))
@@ -55,9 +57,18 @@ def _onto(oid, *classes):
 
 
 def test_class_score_uses_synonyms():
-    a = _cls("http://a/#1", "zzz", synonyms=["loose stools"])
-    b = _cls("http://b/#1", "diarrhoea", synonyms=["loose stools"])
-    assert class_score(LexicalScorer(), a, b) == 1.0
+    src = _onto("s", _cls("http://a/#1", "zzz", synonyms=["loose stools"]))
+    tgt = _onto("t", _cls("http://b/#1", "diarrhoea", synonyms=["loose stools"]))
+    assert align(src, tgt) == [EquivalenceMapping("http://a/#1", "http://b/#1", 1.0)]
+
+
+def test_align_scores_each_candidate_on_its_own_texts():
+    src = _onto("s", _cls("http://a/#1", "dry cough", synonyms=["cough"]))
+    # the middle class normalizes to no text at all, so its block is empty
+    tgt = _onto("t", _cls("http://b/#1", "cough"), _cls("http://b/#2", "---"), _cls("http://b/#3", "wet cough"))
+    got = align(src, tgt, threshold=0.0, use_blocking=False)
+    wet = max(lexical_score(a, "wet cough") for a in ("dry cough", "cough"))
+    assert [(m.target, m.score) for m in got] == [("http://b/#1", 1.0), ("http://b/#2", 0.0), ("http://b/#3", wet)]
 
 
 def test_candidate_pairs_blocking():
@@ -109,36 +120,13 @@ def test_align_without_blocking_matches(source_onto, target_onto, fixture_mappin
 
 def test_align_wraps_scorer_errors(source_onto, target_onto):
     class Boom:
-        max_in_flight = 1
-
-        def score(self, a, b):
+        def score_many(self, pairs):
             raise RuntimeError("nope")
 
     with pytest.raises(ProviderError) as err:
         align(source_onto, target_onto, scorer=Boom())
-    assert "S_" in str(err.value) and "CS_" in str(err.value)
-
-
-def test_align_concurrent_scorer_is_deterministic():
-    # 30 x 30 classes that all share a blocking token -> 900 candidates
-    src = _onto("s", *[_cls(f"http://a/#{i:02d}", f"item alpha {i:02d}") for i in range(30)])
-    tgt = _onto("t", *[_cls(f"http://b/#{i:02d}", f"item beta {i:02d}") for i in range(30)])
-
-    class Threaded(LexicalScorer):
-        max_in_flight = 8
-
-        def __init__(self):
-            self.seen_threads = set()
-
-        def score(self, a, b):
-            self.seen_threads.add(threading.get_ident())
-            return super().score(a, b)
-
-    scorer = Threaded()
-    threaded = align(src, tgt, scorer=scorer, threshold=0.3)
-    serial = align(src, tgt, threshold=0.3)
-    assert threaded == serial
-    assert len(scorer.seen_threads) >= 1
+    first_source = candidate_pairs(source_onto, target_onto)[0][0]
+    assert str(err.value) == f"scoring failed for {first_source}: nope"
 
 
 def test_mapping_tsv_round_trip(tmp_path, fixture_mappings):
@@ -170,26 +158,35 @@ def test_read_mappings_rejects_bad_files(tmp_path):
 class TestEmbeddingScorer:
     def test_identical_texts_score_one(self):
         scorer = EmbeddingScorer(DeterministicEmbedder(dim=32))
-        assert scorer.score("fever", "fever") == pytest.approx(1.0)
+        assert scorer.score_many([("fever", "fever")]) == [pytest.approx(1.0)]
 
     def test_clamped_to_unit_interval(self):
         scorer = EmbeddingScorer(DeterministicEmbedder(dim=32))
-        for a, b in [("fever", "rash"), ("a b c", "c b a"), ("x", "y z")]:
-            assert 0.0 <= scorer.score(a, b) <= 1.0
+        pairs = [("fever", "rash"), ("a b c", "c b a"), ("x", "y z"), ("fever", "rash")]
+        scores = scorer.score_many(pairs)
+        assert len(scores) == len(pairs)
+        for (a, b), score in zip(pairs, scores):
+            va, vb = deterministic_embed(a, 32), deterministic_embed(b, 32)
+            cos = float(np.dot(va, vb) / (float(np.linalg.norm(va)) * float(np.linalg.norm(vb))))
+            assert score == min(1.0, max(0.0, cos))
+            assert 0.0 <= score <= 1.0
 
-    def test_vectors_are_cached(self):
-        calls = []
+    def test_vectors_are_cached(self, source_onto, target_onto):
+        batches = []
 
         class Counting(DeterministicEmbedder):
             def embed(self, texts):
-                calls.extend(texts)
+                batches.append(list(texts))
                 return super().embed(texts)
 
-        scorer = EmbeddingScorer(Counting(dim=32))
-        scorer.score("fever", "rash")
-        scorer.score("fever", "cough")
-        assert calls.count("fever") == 1
-
-    def test_inherits_provider_concurrency(self):
-        provider = DeterministicEmbedder(dim=32)
-        assert EmbeddingScorer(provider).max_in_flight == 1
+        align(source_onto, target_onto, scorer=EmbeddingScorer(Counting(dim=64)), threshold=0.5)
+        pairs = candidate_pairs(source_onto, target_onto)
+        embedded = [text for batch in batches for text in batch]
+        assert len(embedded) == len(set(embedded))
+        assert set(embedded) == {
+            text
+            for s_iri, t_iri in pairs
+            for text in source_onto.classes[s_iri].normalized_texts | target_onto.classes[t_iri].normalized_texts
+        }
+        assert len(batches) <= len({s_iri for s_iri, _ in pairs})
+        assert all(batch == sorted(batch) for batch in batches)

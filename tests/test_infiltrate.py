@@ -1,10 +1,17 @@
+import importlib
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ontorag.subsume
+from ontorag._kernels import levenshtein
 from ontorag.infiltrate import AugmentedPrompt, infiltrate, strip_suffix
+from ontorag.model import label_tokens
 from ontorag.subsume import SubsumptionDictionary
 
+# The package re-exports the function `infiltrate` under the module's name.
+infiltrate_module = importlib.import_module("ontorag.infiltrate")
 EMPTY = SubsumptionDictionary(entries={})
 
 
@@ -163,6 +170,29 @@ def test_fuzzy_prefers_smallest_distance():
     out = infiltrate("my cast", d, fuzzy=True)
     # "cast" is one edit from both anchors; the lexicographically smaller wins
     assert out.matched == ("cart",)
+
+
+def test_fuzzy_tokenizes_anchors_once_and_skips_far_lengths(monkeypatch):
+    d = _dict(cat=["small cat"], cart=["big cart"], catastrophe=["disaster"], chest_pain=["crushing chest pain"])
+    tokenized, compared = [], []
+
+    def counting(text):
+        if text in d.entries:
+            tokenized.append(text)
+        return label_tokens(text)
+
+    def recording(a, b):
+        compared.append((a, b))
+        return levenshtein(a, b)
+
+    for module in (infiltrate_module, ontorag.subsume):
+        monkeypatch.setattr(module, "label_tokens", counting)
+    monkeypatch.setattr(infiltrate_module, "levenshtein", recording)
+    for prompt in ("my cast", "chest pian today", "a catastrophe of cats"):
+        infiltrate(prompt, d, fuzzy=True)
+    assert sorted(tokenized) == sorted(d.entries)
+    assert compared
+    assert all(abs(len(a) - len(b)) <= 1 for a, b in compared)
 
 
 def test_bare_mode(fixture_dictionary):

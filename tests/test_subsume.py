@@ -211,6 +211,20 @@ def test_read_corpus_rejects_bad_files(tmp_path):
         read_corpus(str(path))
 
 
+def test_predict_scores_in_one_batch(source_onto, target_onto, fixture_mappings):
+    batches = []
+
+    class Recording(LexicalScorer):
+        def score_many(self, pairs):
+            batches.append(list(pairs))
+            return super().score_many(pairs)
+
+    corpus = build_subsumption_corpus(source_onto, target_onto, fixture_mappings, seed=0)
+    predict_subsumptions(corpus, Recording(), source_onto, target_onto)
+    assert len(batches) == 1
+    assert len(batches[0]) == len({(p.concept, p.candidate) for p in corpus})
+
+
 def test_predict_unknown_class_in_corpus(source_onto, target_onto):
     corpus = [SubsumptionPair("http://nope/#x", f"{CS}CS_0001", False)]
     with pytest.raises(UnknownClassError):
