@@ -32,9 +32,47 @@ MIN_BLOCK_TOKEN = 3
 class SynonymyScorer(Protocol):
     """Scores a batch of label pairs for synonymy, each in ``[0, 1]``."""
 
-    def score_many(self, pairs: Sequence[tuple[str, str]]) -> list[float]:
-        """One score per pair, in input order."""
+    def score_many(self, pairs: Sequence[tuple[str, str]], floor: float = 0.0) -> list[float]:
+        """One score per pair, in input order.
+
+        A pair whose exact score is >= ``floor`` gets its exact score; any
+        other pair may get any value below ``floor`` and at most its exact
+        score. So ``floor=0.0`` asks for every score exactly, and exact
+        scores always meet the contract.
+        """
         ...
+
+
+# What the lexical formula reads of a label: its normal form and token set.
+_Features = tuple[str, frozenset[str]]
+
+
+def _features(text: str) -> _Features:
+    norm = normalize_label(text)
+    return norm, frozenset(label_tokens(norm))
+
+
+def _score(fa: _Features, fb: _Features, floor: float) -> float:
+    """The lexical formula on two feature tuples, under the ``floor`` contract.
+
+    Edit distance is at least the length difference, so
+    ``1 - |la - lb| / max(la, lb)`` bounds the edit similarity from above
+    (also in floating point: both steps are monotone). When that bound is
+    below the floor or below Jaccard, the edit similarity cannot raise an
+    accepted score and Levenshtein is skipped.
+    """
+    a, ta = fa
+    b, tb = fb
+    if a == b:
+        return 1.0
+    if not a or not b:
+        return 0.0
+    jaccard = len(ta & tb) / len(ta | tb) if (ta or tb) else 0.0
+    longest = max(len(a), len(b))
+    if 1.0 - abs(len(a) - len(b)) / longest < max(floor, jaccard):
+        return jaccard
+    edit = 1.0 - levenshtein(a, b) / longest
+    return max(jaccard, edit)
 
 
 def lexical_score(text_a: str, text_b: str) -> float:
@@ -44,24 +82,24 @@ def lexical_score(text_a: str, text_b: str) -> float:
     otherwise the score is the larger of token-set Jaccard overlap and
     edit-distance similarity ``1 - dist / max(len)``.
     """
-    a = normalize_label(text_a)
-    b = normalize_label(text_b)
-    if a == b:
-        return 1.0
-    if not a or not b:
-        return 0.0
-    ta = set(label_tokens(a))
-    tb = set(label_tokens(b))
-    jaccard = len(ta & tb) / len(ta | tb) if (ta or tb) else 0.0
-    edit = 1.0 - levenshtein(a, b) / max(len(a), len(b))
-    return max(jaccard, edit)
+    return _score(_features(text_a), _features(text_b), 0.0)
 
 
 class LexicalScorer:
-    """Default scorer backed by :func:`lexical_score`; it holds no state."""
+    """Default scorer backed by :func:`lexical_score`'s formula.
 
-    def score_many(self, pairs: Sequence[tuple[str, str]]) -> list[float]:
-        return [lexical_score(a, b) for a, b in pairs]
+    Features are kept per text, so each distinct text is normalized and
+    tokenized once per scorer; a batch adds the texts it has not seen.
+    """
+
+    def __init__(self) -> None:
+        self._cache: dict[str, _Features] = {}
+
+    def score_many(self, pairs: Sequence[tuple[str, str]], floor: float = 0.0) -> list[float]:
+        cache = self._cache
+        for text in {text for pair in pairs for text in pair} - cache.keys():
+            cache[text] = _features(text)
+        return [_score(cache[a], cache[b], floor) for a, b in pairs]
 
 
 class EmbeddingScorer:
@@ -76,7 +114,8 @@ class EmbeddingScorer:
         self._provider = provider
         self._cache: dict[str, np.ndarray] = {}
 
-    def score_many(self, pairs: Sequence[tuple[str, str]]) -> list[float]:
+    def score_many(self, pairs: Sequence[tuple[str, str]], floor: float = 0.0) -> list[float]:
+        """Exact cosine scores; ``floor`` is accepted and not needed."""
         unseen = sorted({text for pair in pairs for text in pair} - self._cache.keys())
         if unseen:
             rows = np.asarray(self._provider.embed(unseen), dtype=np.float64)
@@ -132,11 +171,14 @@ def _score_pairs(
     source: Ontology,
     target: Ontology,
     pairs: Sequence[tuple[ClassIri, ClassIri]],
+    threshold: float,
 ) -> list[float]:
     """Class-level score of each pair: its best text-pair score, 0.0 if none.
 
     The scorer gets one batch per run of pairs that share a source class, so
-    source-major ``pairs`` make one batch per source class.
+    source-major ``pairs`` make one batch per source class. Its ``floor`` is
+    ``threshold``: a block whose best exact score reaches the threshold gets
+    that score exactly, and any other block stays below the threshold.
     """
     scores: list[float] = []
     for s_iri, run in groupby(pairs, key=itemgetter(0)):
@@ -144,7 +186,7 @@ def _score_pairs(
         blocks = [target.classes[t_iri].normalized_texts for _, t_iri in run]
         batch = [(a, b) for t_texts in blocks for a in s_texts for b in t_texts]
         try:
-            values = scorer.score_many(batch)
+            values = scorer.score_many(batch, floor=threshold)
         except Exception as exc:
             raise ProviderError(f"scoring failed for {s_iri}: {exc}") from exc
         start = 0
@@ -178,7 +220,7 @@ def align(
             for s_iri in source.sorted_iris()
             for t_iri in target.sorted_iris()
         ]
-    scores = _score_pairs(scorer, source, target, pairs)
+    scores = _score_pairs(scorer, source, target, pairs, threshold)
     return [
         EquivalenceMapping(source=s_iri, target=t_iri, score=score)
         for (s_iri, t_iri), score in zip(pairs, scores)

@@ -169,19 +169,6 @@ class ChatTurn:
             "context_texts": list(self.context_texts),
         }
 
-    @classmethod
-    def from_json_dict(cls, row: dict) -> "ChatTurn":
-        try:
-            return cls(
-                ts=int(row["ts"]),
-                question=row["question"],
-                augmented=row["augmented"],
-                answer=row["answer"],
-                context_texts=tuple(row["context_texts"]),
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise DataError(f"chat turn row needs ts, question, augmented, answer, context_texts: {exc}") from exc
-
 
 def chat_repl(
     store: VectorStore,

@@ -159,49 +159,3 @@ def subclass_closure(o: Ontology, c: ClassIri) -> set[ClassIri]:
         seen.add(iri)
         stack.extend(o.children(iri))
     return seen
-
-
-def validate_ontology(o: Ontology) -> list[str]:
-    """Report dangling parent IRIs and is-a cycles as warning strings.
-
-    Both conditions are tolerated by the model (third-party files routinely
-    cross-reference other ontologies); this pass just surfaces them.
-    """
-    warnings: list[str] = []
-    for iri in o.sorted_iris():
-        for parent in sorted(o.classes[iri].parents):
-            if parent not in o.classes:
-                warnings.append(f"dangling parent {parent} asserted by {iri}")
-
-    # Cycle detection over parent edges: iterative DFS with a color map.
-    WHITE, GRAY, BLACK = 0, 1, 2
-    color = {iri: WHITE for iri in o.classes}
-    cycle_members: set[ClassIri] = set()
-    for root in o.sorted_iris():
-        if color[root] != WHITE:
-            continue
-        stack: list[tuple[ClassIri, list[ClassIri]]] = [
-            (root, [p for p in sorted(o.classes[root].parents) if p in o.classes])
-        ]
-        color[root] = GRAY
-        path = [root]
-        while stack:
-            node, todo = stack[-1]
-            if todo:
-                nxt = todo.pop()
-                if color[nxt] == GRAY:
-                    cycle_members.update(path[path.index(nxt):])
-                elif color[nxt] == WHITE:
-                    color[nxt] = GRAY
-                    path.append(nxt)
-                    stack.append(
-                        (nxt, [p for p in sorted(o.classes[nxt].parents) if p in o.classes])
-                    )
-            else:
-                color[node] = BLACK
-                stack.pop()
-                path.pop()
-    if cycle_members:
-        names = ", ".join(sorted(cycle_members))
-        warnings.append(f"is-a cycle involving: {names}")
-    return warnings

@@ -48,13 +48,13 @@ def deterministic_embed(text: str, dim: int = DEFAULT_DIM) -> np.ndarray:
     """
     if dim < MIN_DIM:
         raise DataError(f"embedding dim must be >= {MIN_DIM}, got {dim}")
-    vec = np.zeros(dim, dtype=np.float64)
     tokens = label_tokens(text)
     if not tokens:
+        vec = np.zeros(dim, dtype=np.float64)
         vec[0] = 1.0
         return vec
-    for tok in tokens:
-        vec[zlib.crc32(tok.encode("utf-8"), _HASH_SEED) % dim] += 1.0
+    buckets = [zlib.crc32(tok.encode("utf-8"), _HASH_SEED) % dim for tok in tokens]
+    vec = np.bincount(buckets, minlength=dim).astype(np.float64)
     return vec / np.linalg.norm(vec)
 
 

@@ -92,10 +92,11 @@ def predict_subsumptions(
     Corpus labels are not consulted; the scorer alone decides, so sampled
     negatives are rejected only if they actually score low. Output rows carry
     the SUBSUMED_BY relation, deduplicated and sorted by (concept, candidate).
+    The scorer's ``floor`` is ``threshold``, so every accepted score is exact.
     """
     keys = list(dict.fromkeys((pair.concept, pair.candidate) for pair in corpus))
     labels = [(source.get(c).display_label, target.get(d).display_label) for c, d in keys]
-    scores = scorer.score_many(labels)
+    scores = scorer.score_many(labels, floor=threshold)
     accepted = [
         EquivalenceMapping(source=c, target=d, score=score, relation=SUBSUMED_BY)
         for (c, d), score in zip(keys, scores, strict=True)

@@ -1,3 +1,4 @@
+import importlib
 import os
 from pathlib import Path
 
@@ -31,6 +32,22 @@ def fixture_dictionary(source_onto, target_onto, fixture_mappings):
     corpus = build_subsumption_corpus(source_onto, target_onto, fixture_mappings, seed=0)
     accepted = predict_subsumptions(corpus, LexicalScorer(), source_onto, target_onto)
     return build_dictionary(accepted, source_onto, target_onto)
+
+
+@pytest.fixture()
+def levenshtein_calls(monkeypatch):
+    """Every (a, b) the align module passes to Levenshtein, in call order."""
+    # `ontorag.align` is the re-exported function; look the module up by name.
+    module = importlib.import_module("ontorag.align")
+    real = module.levenshtein
+    calls = []
+
+    def counting(a, b):
+        calls.append((a, b))
+        return real(a, b)
+
+    monkeypatch.setattr(module, "levenshtein", counting)
+    return calls
 
 
 @pytest.fixture()

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from ontorag._kernels import levenshtein
 from ontorag.align import (
     EmbeddingScorer,
     EquivalenceMapping,
@@ -14,11 +15,27 @@ from ontorag.align import (
     render_mappings,
 )
 from ontorag.errors import DataError, ProviderError
-from ontorag.model import Ontology, OntologyClass
+from ontorag.model import Ontology, OntologyClass, label_tokens, normalize_label
 from ontorag.ragstore import DeterministicEmbedder, deterministic_embed
 
 CS = "http://example.org/clinical-signs#"
 S = "http://purl.obolibrary.org/obo/"
+
+
+def _reference_score(text_a, text_b):
+    """The lexical formula with Levenshtein always run: the exactness oracle."""
+    a, b = normalize_label(text_a), normalize_label(text_b)
+    if a == b:
+        return 1.0
+    if not a or not b:
+        return 0.0
+    ta, tb = set(label_tokens(a)), set(label_tokens(b))
+    jaccard = len(ta & tb) / len(ta | tb) if (ta or tb) else 0.0
+    return max(jaccard, 1.0 - levenshtein(a, b) / max(len(a), len(b)))
+
+
+# Labels over a small alphabet, so that many pairs sit near any floor.
+_labels = st.text(alphabet="ab c-", max_size=16) | st.text(max_size=16)
 
 
 class TestLexicalScore:
@@ -46,6 +63,19 @@ class TestLexicalScore:
     @given(st.lists(st.tuples(st.text(max_size=20), st.text(max_size=20)), max_size=8))
     def test_scorer_batch_matches_pairwise(self, pairs):
         assert LexicalScorer().score_many(pairs) == [lexical_score(a, b) for a, b in pairs]
+
+    @given(st.lists(st.tuples(_labels, _labels), max_size=8), st.floats(0.0, 1.0))
+    def test_floor_contract(self, pairs, floor):
+        exact = [_reference_score(a, b) for a, b in pairs]
+        assert [lexical_score(a, b) for a, b in pairs] == exact
+        scorer = LexicalScorer()
+        for pair, want, got in zip(pairs, exact, scorer.score_many(pairs, floor=floor), strict=True):
+            if want >= floor:
+                assert got == want
+            else:
+                assert got < floor and got <= want
+            # a floor equal to the exact score still gets it exactly
+            assert scorer.score_many([pair], floor=want) == [want]
 
 
 def _cls(iri, label, synonyms=()):
@@ -120,13 +150,30 @@ def test_align_without_blocking_matches(source_onto, target_onto, fixture_mappin
 
 def test_align_wraps_scorer_errors(source_onto, target_onto):
     class Boom:
-        def score_many(self, pairs):
+        def score_many(self, pairs, floor=0.0):
             raise RuntimeError("nope")
 
     with pytest.raises(ProviderError) as err:
         align(source_onto, target_onto, scorer=Boom())
     first_source = candidate_pairs(source_onto, target_onto)[0][0]
     assert str(err.value) == f"scoring failed for {first_source}: nope"
+
+
+@pytest.mark.parametrize("threshold", [0.9, 0.65])
+def test_align_skips_levenshtein_and_stays_exact(source_onto, target_onto, levenshtein_calls, threshold):
+    got = align(source_onto, target_onto, threshold=threshold)
+    calls = len(levenshtein_calls)
+    expected, unequal_text_pairs = [], 0
+    for s_iri, t_iri in candidate_pairs(source_onto, target_onto):
+        s_texts = source_onto.classes[s_iri].normalized_texts
+        t_texts = target_onto.classes[t_iri].normalized_texts
+        unequal_text_pairs += sum(a != b for a in s_texts for b in t_texts)
+        best = max((lexical_score(a, b) for a in s_texts for b in t_texts), default=0.0)
+        if best >= threshold:
+            expected.append(EquivalenceMapping(s_iri, t_iri, best))
+    # without the bound, every text pair with unequal normal forms runs Levenshtein
+    assert 0 < calls < unequal_text_pairs
+    assert got == expected
 
 
 def test_mapping_tsv_round_trip(tmp_path, fixture_mappings):

@@ -8,7 +8,6 @@ from ontorag.model import (
     local_name,
     normalize_label,
     subclass_closure,
-    validate_ontology,
 )
 
 from hypothesis import given
@@ -115,20 +114,9 @@ def test_subclass_closure_terminates_on_cycle():
     a = _cls("http://x/#a", parents=["http://x/#b"])
     b = _cls("http://x/#b", parents=["http://x/#a"])
     o = _onto(a, b)
-    # cycles are invalid input (validate_ontology flags them) but the
-    # traversal must still terminate, and the root stays excluded
+    # cycles are invalid input, but the traversal must still terminate,
+    # and the root stays excluded
     assert subclass_closure(o, "http://x/#a") == {"http://x/#b"}
-
-
-def test_validate_ontology_reports_problems():
-    a = _cls("http://x/#a", parents=["http://x/#ghost"])
-    b = _cls("http://x/#b", parents=["http://x/#c"])
-    c = _cls("http://x/#c", parents=["http://x/#b"])
-    problems = validate_ontology(_onto(a, b, c))
-    text = "\n".join(problems)
-    assert "ghost" in text
-    assert "cycle" in text
-    assert validate_ontology(_onto(_cls("http://x/#ok"))) == []
 
 
 def test_sorted_iris(target_onto):

@@ -3,10 +3,13 @@ import zlib
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 import ontorag.ragstore as ragstore
 from ontorag.errors import DataError, ProviderError
 from ontorag.fixtures import fixture_text
+from ontorag.model import label_tokens
 from ontorag.ragstore import (
     Chunk,
     DeterministicEmbedder,
@@ -51,6 +54,23 @@ class TestDeterministicEmbed:
             deterministic_embed("x", dim=7)
         with pytest.raises(DataError):
             DeterministicEmbedder(dim=4)
+
+    @given(st.text(max_size=60), st.sampled_from([8, 32, 256]))
+    @example("", 8)
+    @example("  --  !? ", 32)
+    @example("a a a b", 8)
+    def test_matches_per_token_reference(self, text, dim):
+        expected = np.zeros(dim, dtype=np.float64)
+        tokens = label_tokens(text)
+        if tokens:
+            for tok in tokens:
+                expected[zlib.crc32(tok.encode("utf-8"), 0x9E3779B9) % dim] += 1.0
+            expected /= np.linalg.norm(expected)
+        else:
+            expected[0] = 1.0
+        got = deterministic_embed(text, dim=dim)
+        assert got.dtype == np.float64
+        assert got.tobytes() == expected.tobytes()
 
     def test_provider_batches(self):
         provider = DeterministicEmbedder(dim=16)

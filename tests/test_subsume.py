@@ -1,10 +1,10 @@
 import pytest
 
 import ontorag.subsume
-from ontorag.align import EquivalenceMapping, LexicalScorer
+from ontorag.align import EquivalenceMapping, LexicalScorer, lexical_score
 from ontorag.errors import DataError, UnknownClassError
 from ontorag.infiltrate import infiltrate
-from ontorag.model import label_tokens
+from ontorag.model import label_tokens, normalize_label
 from ontorag.subsume import (
     SubsumptionDictionary,
     SubsumptionPair,
@@ -99,6 +99,24 @@ def test_predict_threshold_boundary(source_onto, target_onto, fixture_mappings):
     assert all(m.relation == "SUBSUMED_BY" for m in accepted)
     keys = [(m.source, m.target) for m in accepted]
     assert keys == sorted(keys)
+
+
+def test_predict_accepts_exactly_the_pairwise_scores(source_onto, target_onto, fixture_mappings, levenshtein_calls):
+    corpus = build_subsumption_corpus(source_onto, target_onto, fixture_mappings, seed=0)
+    labels = {
+        (p.concept, p.candidate): (source_onto.get(p.concept).display_label, target_onto.get(p.candidate).display_label)
+        for p in corpus
+    }
+    accepted = predict_subsumptions(corpus, LexicalScorer(), source_onto, target_onto)
+    calls = len(levenshtein_calls)
+    expected = sorted(
+        (key, score) for key, pair in labels.items() if (score := lexical_score(*pair)) >= 0.5
+    )
+    assert [((m.source, m.target), m.score) for m in accepted] == expected
+    assert all(m.relation == "SUBSUMED_BY" for m in accepted)
+    # without the bound, each pair of unequal non-empty normal forms runs Levenshtein
+    normal = [(normalize_label(a), normalize_label(b)) for a, b in labels.values()]
+    assert 0 < calls < sum(1 for a, b in normal if a and b and a != b)
 
 
 def test_predict_scores_negatives_too(source_onto, target_onto, fixture_mappings):
@@ -215,9 +233,9 @@ def test_predict_scores_in_one_batch(source_onto, target_onto, fixture_mappings)
     batches = []
 
     class Recording(LexicalScorer):
-        def score_many(self, pairs):
+        def score_many(self, pairs, floor=0.0):
             batches.append(list(pairs))
-            return super().score_many(pairs)
+            return super().score_many(pairs, floor)
 
     corpus = build_subsumption_corpus(source_onto, target_onto, fixture_mappings, seed=0)
     predict_subsumptions(corpus, Recording(), source_onto, target_onto)
