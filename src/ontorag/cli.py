@@ -49,13 +49,18 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _atomic_write(path: str, text: str) -> None:
-    """Write via a sibling temp file and rename, so readers never see halves."""
+def _atomic_write(path: str, data: str | bytes) -> None:
+    """Write via a sibling temp file and rename, so readers never see halves.
+
+    Text is written as UTF-8.
+    """
+    if isinstance(data, str):
+        data = data.encode("utf-8")
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(prefix=".ontorag-", dir=directory)
     try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        with os.fdopen(fd, "wb") as fh:
+            fh.write(data)
         os.replace(tmp, path)
     except BaseException:
         with contextlib.suppress(OSError):
@@ -194,7 +199,8 @@ def cmd_ingest(args: argparse.Namespace) -> int:
             text = fh.read()
         doc_id = args.doc_id or os.path.splitext(os.path.basename(path))[0]
         added += ingest(store, doc_id, text, provider, size=args.size, overlap=args.overlap)
-    _atomic_write(args.store, store.to_jsonl())
+    for target, data in store.to_jsonl(args.store):
+        _atomic_write(target, data)
     print(f"ingested {added} chunks from {len(args.doc)} documents; store has {len(store)} -> {args.store}")
     return 0
 
@@ -281,7 +287,7 @@ def _add_scorer_args(sub: argparse.ArgumentParser) -> None:
 
 
 def _add_rag_args(sub: argparse.ArgumentParser, with_dict_required: bool = False) -> None:
-    sub.add_argument("--store", required=True, help="store JSONL path")
+    sub.add_argument("--store", required=True, help="store JSONL path (its matrix is PATH.npy)")
     sub.add_argument(
         "--provider",
         default=os.environ.get("ONTORAG_PROVIDER", "deterministic"),
@@ -358,7 +364,7 @@ def build_parser() -> _Parser:
     p.set_defaults(func=cmd_infiltrate)
 
     p = subs.add_parser("ingest", help="chunk and embed documents into a store")
-    p.add_argument("--store", required=True, help="store JSONL; created if missing")
+    p.add_argument("--store", required=True, help="store JSONL and PATH.npy; created if missing")
     p.add_argument("--doc", required=True, action="append", help="document text file (repeatable)")
     p.add_argument("--doc-id", help="document id (single --doc only; default: file stem)")
     p.add_argument(

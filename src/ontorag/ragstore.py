@@ -1,13 +1,18 @@
 """Document chunking, embedding, and an exact-scan vector store.
 
-The store is a JSONL file: one header object holding the embedding dimension,
-the provider name, and a creation timestamp, then one object per chunk.
-Retrieval is a full cosine scan (see ``_kernels``), so results are exact and
-reproducible; ties break on ascending chunk id.
+A store is a pair of files, and only this module knows their layout. The
+JSONL file holds one header object (embedding dimension, provider name,
+creation timestamp, row count and the CRC-32 of the sidecar's bytes), then one
+``{"id", "doc_id", "text"}`` object per chunk. The sidecar, the JSONL path plus
+``.npy``, holds the float64 matrix whose row ``i`` is the embedding of chunk
+``i``. Retrieval is a full cosine scan (see
+``_kernels``), so results are exact and reproducible; ties break on ascending
+chunk id.
 """
 
 from __future__ import annotations
 
+import io
 import json
 import os
 import time
@@ -28,6 +33,7 @@ ALIGN_WINDOW = 20
 MIN_DIM = 8
 DEFAULT_DIM = 256
 _HASH_SEED = 0x9E3779B9
+MATRIX_SUFFIX = ".npy"
 
 
 class EmbeddingProvider(Protocol):
@@ -150,7 +156,10 @@ class HttpEmbeddingProvider:
         else:
             results = [self._embed_batch(b) for b in batches]
         rows = [row for batch_rows in results for row in batch_rows]
-        out = np.asarray(rows, dtype=np.float64)
+        try:
+            out = np.asarray(rows, dtype=np.float64)
+        except (ValueError, TypeError) as exc:
+            raise ProviderError(f"malformed embedding response from {self.url}: {exc}") from exc
         if out.ndim != 2 or out.shape[1] != self.dim:
             raise ProviderError(
                 f"embedding response from {self.url} has width {out.shape[-1] if out.ndim == 2 else '?'}, expected {self.dim}"
@@ -271,26 +280,33 @@ class VectorStore:
         order = np.argsort(-scores, kind="stable")[:k]
         return [(self.chunks[i], float(scores[i])) for i in order]
 
-    def to_jsonl(self) -> str:
-        """Header plus one chunk per line, ordered by chunk id."""
-        header = {"dim": self.dim, "provider": self.provider_name, "created": self.created}
+    def to_jsonl(self, path: str) -> list[tuple[str, str | bytes]]:
+        """The files of a store saved at ``path``, as (path, content) in write order.
+
+        The ``.npy`` comes first and the JSONL, whose header holds the CRC-32 of
+        the ``.npy`` bytes, last: a crash between the two writes leaves a pair
+        that :meth:`load` rejects.
+        """
+        buf = io.BytesIO()
+        np.save(buf, self.matrix, allow_pickle=False)
+        npy = buf.getvalue()
+        header = {
+            "dim": self.dim,
+            "provider": self.provider_name,
+            "created": self.created,
+            "rows": len(self.chunks),
+            "crc32": zlib.crc32(npy),
+        }
         lines = [json.dumps(header, ensure_ascii=False)]
-        for i, chunk in enumerate(self.chunks):
+        for chunk in self.chunks:
             lines.append(
-                json.dumps(
-                    {
-                        "id": chunk.id,
-                        "doc_id": chunk.doc_id,
-                        "text": chunk.text,
-                        "embedding": self.matrix[i].tolist(),
-                    },
-                    ensure_ascii=False,
-                )
+                json.dumps({"id": chunk.id, "doc_id": chunk.doc_id, "text": chunk.text}, ensure_ascii=False)
             )
-        return "\n".join(lines) + "\n"
+        return [(path + MATRIX_SUFFIX, npy), (path, "\n".join(lines) + "\n")]
 
     @classmethod
     def load(cls, path: str) -> "VectorStore":
+        """Read the JSONL at ``path`` and its ``.npy``; a mismatched pair is a DataError."""
         with open(path, "r", encoding="utf-8") as fh:
             lines = [(n, line) for n, line in enumerate(fh.read().split("\n"), start=1) if line]
         if not lines:
@@ -311,33 +327,64 @@ class VectorStore:
             raise DataError(f"{path}:{header_no}: store dim must be >= {MIN_DIM}")
         store = cls(dim=header["dim"], provider_name=header["provider"], created=header["created"])
         chunks: list[Chunk] = []
-        matrix = np.empty((len(lines) - 1, store.dim), dtype=np.float64)
-        for i, (lineno, line) in enumerate(lines[1:]):
+        for lineno, line in lines[1:]:
             try:
                 row = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise DataError(f"{path}:{lineno}: bad chunk row: {exc}") from exc
+            if isinstance(row, dict) and "embedding" in row:
+                raise DataError(
+                    f"{path}:{lineno}: inline embedding: this store predates the {MATRIX_SUFFIX} "
+                    "matrix file; re-ingest its documents"
+                )
             try:
                 chunk = Chunk(id=row["id"], doc_id=row["doc_id"], text=row["text"])
-                embedding = row["embedding"]
             except (KeyError, TypeError) as exc:
-                raise DataError(f"{path}:{lineno}: chunk row needs id, doc_id, text, embedding") from exc
+                raise DataError(f"{path}:{lineno}: chunk row needs id, doc_id, text") from exc
             if not all(isinstance(v, str) for v in (chunk.id, chunk.doc_id, chunk.text)):
                 raise DataError(f"{path}:{lineno}: chunk id, doc_id and text must be strings")
-            if not isinstance(embedding, list) or len(embedding) != store.dim:
-                raise DataError(f"{path}:{lineno}: embedding must be a list of {store.dim} numbers")
-            try:
-                matrix[i] = embedding
-            except (TypeError, ValueError) as exc:
-                raise DataError(f"{path}:{lineno}: embedding must be a list of {store.dim} numbers") from exc
             chunks.append(chunk)
-        # numpy stores a null as NaN, so check here, where the line is known
+        rows, crc = header.get("rows"), header.get("crc32")
+        if not isinstance(rows, int) or not isinstance(crc, int):
+            raise DataError(
+                f"{path}:{header_no}: store header needs rows and crc32; re-ingest a store "
+                f"written without a {MATRIX_SUFFIX} matrix file"
+            )
+        if rows != len(chunks):
+            raise DataError(f"{path}:{header_no}: header says {rows} rows, the file has {len(chunks)}")
+        matrix = _read_matrix(path + MATRIX_SUFFIX, crc, (rows, store.dim))
         finite = np.isfinite(matrix).all(axis=1)
         if not finite.all():
-            lineno = lines[int(np.argmin(finite)) + 1][0]
-            raise DataError(f"{path}:{lineno}: embedding has a null or non-finite value")
+            row_no = int(np.argmin(finite))
+            raise DataError(
+                f"{path}:{lines[row_no + 1][0]}: embedding (row {row_no} of {path}{MATRIX_SUFFIX}) "
+                "has a non-finite value"
+            )
         store.add_chunks(chunks, matrix)
         return store
+
+
+def _read_matrix(path: str, crc: int, shape: tuple[int, int]) -> np.ndarray:
+    """The float64 array in the ``.npy`` at ``path``, checked against the header."""
+    try:
+        with open(path, "rb") as fh:
+            data = fh.read()
+    except FileNotFoundError:
+        raise DataError(f"{path}: the store's embedding matrix is missing; re-ingest") from None
+    got = zlib.crc32(data)
+    if got != crc:
+        raise DataError(
+            f"{path}: crc32 {got:08x} does not match the store header's {crc:08x} "
+            "(a torn or mismatched pair; re-ingest)"
+        )
+    try:
+        matrix = np.load(io.BytesIO(data), allow_pickle=False)
+    except (ValueError, EOFError) as exc:  # pickled, object dtype or malformed
+        raise DataError(f"{path}: not a plain .npy array: {exc}") from exc
+    dtype, got_shape = getattr(matrix, "dtype", None), getattr(matrix, "shape", None)
+    if dtype != np.float64 or got_shape != shape:
+        raise DataError(f"{path}: expected a float64 array of shape {shape}, got {dtype} {got_shape}")
+    return matrix
 
 
 def _now() -> int:

@@ -84,6 +84,23 @@ def test_ingest_is_reproducible(capsys, workdir):
     run(capsys, "ingest", "--store", "s1.jsonl", "--doc", "handbook.txt")
     run(capsys, "ingest", "--store", "s2.jsonl", "--doc", "handbook.txt")
     assert (workdir / "s1.jsonl").read_bytes() == (workdir / "s2.jsonl").read_bytes()
+    assert (workdir / "s1.jsonl.npy").read_bytes() == (workdir / "s2.jsonl.npy").read_bytes()
+
+
+def test_ingest_writes_matrix_then_jsonl(capsys, workdir, monkeypatch):
+    import ontorag.cli
+
+    written = []
+    real = ontorag.cli._atomic_write
+
+    def record(path, data):
+        written.append((path, type(data)))
+        real(path, data)
+
+    monkeypatch.setattr(ontorag.cli, "_atomic_write", record)
+    code, _, _ = run(capsys, "ingest", "--store", "s.jsonl", "--doc", "handbook.txt")
+    assert code == 0
+    assert written == [("s.jsonl.npy", bytes), ("s.jsonl", str)]
 
 
 def test_infiltrate_stdin_lines(capsys, workdir, monkeypatch):
@@ -167,6 +184,15 @@ class TestExitCodes:
         )
         assert code == 2
 
+    def test_missing_matrix_is_data_error(self, capsys, workdir):
+        _build_pipeline(capsys, workdir)
+        (workdir / "store.jsonl.npy").unlink()
+        code, _, err = run(
+            capsys, "ask", "--store", "store.jsonl", "--question", "q",
+        )
+        assert code == 2
+        assert "error: store.jsonl.npy: " in err
+
     def test_provider_failure_maps_to_3(self, capsys, workdir, monkeypatch):
         _build_pipeline(capsys, workdir)
         import requests
@@ -181,6 +207,26 @@ class TestExitCodes:
         )
         assert code == 3
         assert "provider error" in err
+
+    def test_malformed_embeddings_map_to_3(self, capsys, workdir, monkeypatch):
+        import requests
+
+        class Ragged:
+            status_code = 200
+
+            def __init__(self, n):
+                self.rows = [[0.0] * 256] * (n - 1) + [[0.0] * 7]
+
+            def json(self):
+                return {"data": [{"embedding": row} for row in self.rows]}
+
+        monkeypatch.setattr(requests, "post", lambda url, json=None, **k: Ragged(len(json["input"])))
+        code, _, err = run(
+            capsys, "ingest", "--store", "s.jsonl", "--doc", "handbook.txt",
+            "--provider", "http://embed.invalid/v1",
+        )
+        assert code == 3
+        assert "malformed embedding response from http://embed.invalid/v1" in err
 
     def test_no_command_prints_help(self, capsys, workdir):
         code, _, err = run(capsys)

@@ -1,3 +1,4 @@
+import io
 import json
 import zlib
 
@@ -217,18 +218,30 @@ class TestVectorStore:
 
     def test_save_load_round_trip(self, tmp_path, embedder, handbook_store):
         path = tmp_path / "store.jsonl"
-        path.write_text(handbook_store.to_jsonl(), encoding="utf-8")
+        _save(handbook_store, path)
         loaded = VectorStore.load(str(path))
         assert loaded.dim == handbook_store.dim
         assert loaded.provider_name == handbook_store.provider_name
         assert loaded.created == handbook_store.created
-        assert sorted(loaded.chunks, key=lambda c: c.id) == sorted(
-            handbook_store.chunks, key=lambda c: c.id
-        )
+        assert loaded.chunks == handbook_store.chunks
         np.testing.assert_array_equal(loaded.matrix, handbook_store.matrix)
         np.testing.assert_array_equal(loaded.norms, handbook_store.norms)
-        # saving what was loaded reproduces the bytes
-        assert loaded.to_jsonl() == handbook_store.to_jsonl()
+        # saving what was loaded reproduces the bytes of both files
+        (npy_path, matrix), (jsonl_path, text) = loaded.to_jsonl(str(path))
+        assert (npy_path, jsonl_path) == (str(_matrix_path(path)), str(path))
+        assert matrix == _matrix_path(path).read_bytes()
+        assert text.encode("utf-8") == path.read_bytes()
+        header = json.loads(text.split("\n")[0])
+        assert header["rows"] == len(handbook_store)
+        assert header["crc32"] == zlib.crc32(matrix)
+        assert all("embedding" not in json.loads(line) for line in text.split("\n")[1:] if line)
+
+    def test_empty_store_round_trip(self, tmp_path):
+        path = tmp_path / "s.jsonl"
+        _save(_mini_store(), path)
+        loaded = VectorStore.load(str(path))
+        assert len(loaded) == 0
+        assert loaded.matrix.shape == (0, 8)
 
     def test_load_validation(self, tmp_path):
         path = tmp_path / "s.jsonl"
@@ -244,38 +257,150 @@ class TestVectorStore:
         path.write_text('{"dim": 8, "provider": "p"}\n', encoding="utf-8")
         with pytest.raises(DataError):
             VectorStore.load(str(path))
-        header = '{"dim": 8, "provider": "p", "created": 1}\n'
-        path.write_text(header + '{"id": "a"}\n', encoding="utf-8")
-        with pytest.raises(DataError):
+        _write_pair(path, [{"id": "a"}], np.ones((1, 8)))
+        with pytest.raises(DataError, match=r"s\.jsonl:2: chunk row needs"):
             VectorStore.load(str(path))
-        row = json.dumps({"id": "a", "doc_id": "d", "text": "t", "embedding": [1.0] * 4})
-        path.write_text(header + row + "\n", encoding="utf-8")
-        with pytest.raises(DataError):
+        _write_pair(path, ["a"], np.ones((1, 8)))
+        with pytest.raises(DataError, match=r"s\.jsonl:2: chunk row needs"):
+            VectorStore.load(str(path))
+        _write_pair(path, [_ROW], np.ones((1, 8)), rows="1")
+        with pytest.raises(DataError, match=r"s\.jsonl:1: store header needs rows and crc32"):
             VectorStore.load(str(path))
 
     @pytest.mark.parametrize(
         "bad",
         [
-            {"embedding": [1.0] * 7 + [None]},
-            {"embedding": [1.0] * 7},
-            {"embedding": [1.0] * 9},
-            {"embedding": "1" * 8},
-            {"embedding": 1.0},
-            {"embedding": None},
-            {"embedding": [1.0] * 7 + ["x"]},
-            {"embedding": [1.0] * 7 + [[1.0]]},
-            {"embedding": [1.0] * 7 + [float("nan")]},
-            {"id": 5},
+            {"vector": [1.0] * 7 + [float("nan")]},
+            {"vector": [float("inf")] * 8},
+            {"vector": [1.0] * 7 + [float("-inf")]},
+            {"row": {"id": 5}},
+            {"row": {"doc_id": None}},
+            {"row": {"text": ["t"]}},
+            {"row": {"embedding": [1.0] * 8}},
+            {"row": {"embedding": None}},
+            {"drop": "id"},
+            {"drop": "text"},
         ],
     )
     def test_bad_row_names_its_line(self, tmp_path, bad):
-        header = '{"dim": 8, "provider": "p", "created": 1}\n'
-        good = {"id": "a", "doc_id": "d", "text": "t", "embedding": [1.0] * 8}
-        rows = [good, {**good, "id": "b", **bad}, {**good, "id": "c"}]
+        rows = [{**_ROW, "id": cid} for cid in "abc"]
+        rows[1].update(bad.get("row", {}))
+        rows[1].pop(bad.get("drop"), None)
+        matrix = np.ones((3, 8))
+        matrix[1] = bad.get("vector", matrix[1])
         path = tmp_path / "s.jsonl"
         # the blank line counts: errors name the line a text editor shows
-        path.write_text(header + "\n" + "".join(json.dumps(r) + "\n" for r in rows), encoding="utf-8")
+        _write_pair(path, rows, matrix, gap="\n")
         with pytest.raises(DataError, match=r"s\.jsonl:4: "):
+            VectorStore.load(str(path))
+
+
+def _matrix_path(path):
+    return path.with_name(path.name + ".npy")
+
+
+def _save(store, path):
+    (_, matrix), (_, text) = store.to_jsonl(str(path))
+    _matrix_path(path).write_bytes(matrix)
+    path.write_text(text, encoding="utf-8")
+
+
+_ROW = {"id": "a", "doc_id": "d", "text": "t"}
+
+
+def _npy(array, **kwargs):
+    buf = io.BytesIO()
+    np.save(buf, array, **kwargs)
+    return buf.getvalue()
+
+
+def _write_pair(path, records, matrix, gap="", **header):
+    """A hand-made store: ``header`` overrides the fields derived from the records and matrix."""
+    data = matrix if isinstance(matrix, bytes) else _npy(matrix)
+    head = {"dim": 8, "provider": "p", "created": 1, "rows": len(records), "crc32": zlib.crc32(data), **header}
+    body = "".join(json.dumps(r) + "\n" for r in records)
+    path.write_text(json.dumps(head) + "\n" + gap + body, encoding="utf-8")
+    _matrix_path(path).write_bytes(data)
+
+
+class TestStorePair:
+    """Every way the JSONL and its ``.npy`` can disagree is a located DataError."""
+
+    def test_missing_matrix(self, tmp_path, handbook_store):
+        path = tmp_path / "store.jsonl"
+        _save(handbook_store, path)
+        _matrix_path(path).unlink()
+        with pytest.raises(DataError, match=r"store\.jsonl\.npy: .*missing"):
+            VectorStore.load(str(path))
+
+    def test_torn_pair(self, tmp_path, embedder, handbook_store):
+        # the .npy of another ingest with the same row count: only the CRC tells
+        other = VectorStore.new(embedder)
+        other.add_chunks(handbook_store.chunks, handbook_store.matrix[::-1])
+        path, torn = tmp_path / "store.jsonl", tmp_path / "other.jsonl"
+        _save(handbook_store, path)
+        _save(other, torn)
+        _matrix_path(path).write_bytes(_matrix_path(torn).read_bytes())
+        with pytest.raises(DataError, match=r"store\.jsonl\.npy: crc32 .* torn or mismatched"):
+            VectorStore.load(str(path))
+
+    def test_crc_mismatch(self, tmp_path, handbook_store):
+        path = tmp_path / "store.jsonl"
+        _save(handbook_store, path)
+        data = bytearray(_matrix_path(path).read_bytes())
+        data[-1] ^= 0x01
+        _matrix_path(path).write_bytes(bytes(data))
+        with pytest.raises(DataError, match=r"store\.jsonl\.npy: crc32"):
+            VectorStore.load(str(path))
+        _matrix_path(path).write_bytes(bytes(data[:-8]))
+        with pytest.raises(DataError, match=r"store\.jsonl\.npy: crc32"):
+            VectorStore.load(str(path))
+
+    @pytest.mark.parametrize("rows", [0, 1, 3])
+    def test_wrong_row_count(self, tmp_path, rows):
+        path = tmp_path / "s.jsonl"
+        _write_pair(path, [_ROW, {**_ROW, "id": "b"}], np.ones((2, 8)), rows=rows)
+        with pytest.raises(DataError, match=rf"s\.jsonl:1: header says {rows} rows, the file has 2"):
+            VectorStore.load(str(path))
+
+    @pytest.mark.parametrize(
+        "data",
+        [
+            _npy(np.array([[1.0] * 8], dtype=object), allow_pickle=True),
+            _npy(np.array([{"a": 1}]), allow_pickle=True),
+            _npy(np.ones((1, 8), dtype=np.float32)),
+            _npy(np.ones((1, 8), dtype=">f8")),
+            _npy(np.ones((1, 9))),
+            _npy(np.ones(8)),
+            b"not an npy file",
+            b"",
+        ],
+        ids=["object", "pickled", "float32", "big-endian", "width", "1d", "garbage", "empty"],
+    )
+    def test_matrix_must_be_plain_float64(self, tmp_path, data):
+        path = tmp_path / "s.jsonl"
+        _write_pair(path, [_ROW], data)
+        with pytest.raises(DataError, match=r"s\.jsonl\.npy: "):
+            VectorStore.load(str(path))
+
+    def test_nan_row_names_its_jsonl_line(self, tmp_path):
+        matrix = np.ones((3, 8))
+        matrix[2, 5] = np.nan
+        path = tmp_path / "s.jsonl"
+        _write_pair(path, [{**_ROW, "id": cid} for cid in "abc"], matrix)
+        with pytest.raises(DataError, match=r"s\.jsonl:4: embedding \(row 2 of .*s\.jsonl\.npy\)"):
+            VectorStore.load(str(path))
+
+    def test_inline_embeddings_say_reingest(self, tmp_path):
+        # the single-file format: no rows or crc32, embeddings inside the rows
+        path = tmp_path / "old.jsonl"
+        header = json.dumps({"dim": 8, "provider": "p", "created": 1})
+        row = json.dumps({**_ROW, "embedding": [1.0] * 8})
+        path.write_text(f"{header}\n{row}\n", encoding="utf-8")
+        with pytest.raises(DataError, match=r"old\.jsonl:2: inline embedding.*re-ingest"):
+            VectorStore.load(str(path))
+        path.write_text(f"{header}\n", encoding="utf-8")
+        with pytest.raises(DataError, match=r"old\.jsonl:1: .*re-ingest"):
             VectorStore.load(str(path))
 
 
@@ -397,6 +522,14 @@ class TestHttpEmbeddingProvider:
         )
         with pytest.raises(ProviderError):
             provider.embed(["x"])
+
+        for rows in ([[0.0] * 8, [0.0] * 7], [["x"] * 8, [0.0] * 8]):
+            self._patch(
+                monkeypatch,
+                lambda *a, rows=rows, **k: _FakeResponse(payload={"data": [{"embedding": r} for r in rows]}),
+            )
+            with pytest.raises(ProviderError, match="malformed embedding response from http://api.test/v1"):
+                provider.embed(["x", "y"])
 
         import requests
 
