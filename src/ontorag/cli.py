@@ -193,12 +193,11 @@ def cmd_ingest(args: argparse.Namespace) -> int:
         store = VectorStore.new(provider)
     if args.doc_id and len(args.doc) > 1:
         raise UsageError("--doc-id only applies when a single --doc is given")
-    added = 0
+    docs = []
     for path in args.doc:
         with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-        doc_id = args.doc_id or os.path.splitext(os.path.basename(path))[0]
-        added += ingest(store, doc_id, text, provider, size=args.size, overlap=args.overlap)
+            docs.append((args.doc_id or os.path.splitext(os.path.basename(path))[0], fh.read()))
+    added = ingest(store, docs, provider, size=args.size, overlap=args.overlap)
     for target, data in store.to_jsonl(args.store):
         _atomic_write(target, data)
     print(f"ingested {added} chunks from {len(args.doc)} documents; store has {len(store)} -> {args.store}")

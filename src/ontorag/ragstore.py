@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import io
 import json
+import math
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -46,26 +47,18 @@ class EmbeddingProvider(Protocol):
 
 
 def deterministic_embed(text: str, dim: int = DEFAULT_DIM) -> np.ndarray:
-    """Feature-hashed token counts, L2-normalized.
-
-    Each token lands in the CRC32 bucket ``crc32(token, seed) % dim``. Text
-    with no tokens maps to the first basis vector so every embedding has unit
-    norm.
-    """
-    if dim < MIN_DIM:
-        raise DataError(f"embedding dim must be >= {MIN_DIM}, got {dim}")
-    tokens = label_tokens(text)
-    if not tokens:
-        vec = np.zeros(dim, dtype=np.float64)
-        vec[0] = 1.0
-        return vec
-    buckets = [zlib.crc32(tok.encode("utf-8"), _HASH_SEED) % dim for tok in tokens]
-    vec = np.bincount(buckets, minlength=dim).astype(np.float64)
-    return vec / np.linalg.norm(vec)
+    """The :class:`DeterministicEmbedder` row of one text."""
+    return DeterministicEmbedder(dim).embed([text])[0]
 
 
 class DeterministicEmbedder:
-    """Offline provider built on :func:`deterministic_embed`."""
+    """Offline provider: feature-hashed token counts, L2-normalized.
+
+    Each token lands in the CRC32 bucket ``crc32(token, seed) % dim`` (feature
+    hashing, Weinberger et al., ICML 2009). Text with no tokens maps to the
+    first basis vector so every embedding has unit norm. The embedder keeps
+    each token's bucket, so a distinct token is hashed once per embedder.
+    """
 
     name = "deterministic"
 
@@ -73,11 +66,21 @@ class DeterministicEmbedder:
         if dim < MIN_DIM:
             raise DataError(f"embedding dim must be >= {MIN_DIM}, got {dim}")
         self.dim = dim
+        self._buckets: dict[str, int] = {}
 
     def embed(self, texts: Sequence[str]) -> np.ndarray:
-        out = np.empty((len(texts), self.dim), dtype=np.float64)
+        dim, buckets = self.dim, self._buckets
+        out = np.empty((len(texts), dim), dtype=np.float64)
         for i, text in enumerate(texts):
-            out[i] = deterministic_embed(text, self.dim)
+            tokens = label_tokens(text)
+            for tok in tokens:
+                if tok not in buckets:
+                    buckets[tok] = zlib.crc32(tok.encode("utf-8"), _HASH_SEED) % dim
+            # A text with no tokens counts once in bucket 0. The counts are
+            # integers, so their sum of squares is exact and the row is
+            # bit-identical to dividing by the float norm.
+            counts = np.bincount([buckets[tok] for tok in tokens] or [0], minlength=dim)
+            out[i] = counts / math.sqrt(counts @ counts)
         return out
 
 
@@ -259,9 +262,16 @@ class VectorStore:
             seen.add(chunk.id)
         chunks = self.chunks + list(new_chunks)
         order = sorted(range(len(chunks)), key=lambda i: chunks[i].id)
+        # Scatter old and new rows straight to their sorted places: one matrix
+        # allocation, not a concatenated copy and then a reordered one.
+        rank = np.empty(len(chunks), dtype=np.intp)
+        rank[order] = np.arange(len(chunks))
+        matrix = np.empty((len(chunks), self.dim), dtype=np.float64)
+        matrix[rank[: len(self.chunks)]] = self.matrix
+        matrix[rank[len(self.chunks) :]] = vectors
         self.chunks = [chunks[i] for i in order]
-        self.matrix = np.concatenate([self.matrix, vectors])[order]
-        self.norms = np.linalg.norm(self.matrix, axis=1)
+        self.matrix = matrix
+        self.norms = np.linalg.norm(matrix, axis=1)
 
     def nearest(self, query: np.ndarray, k: int) -> list[tuple[Chunk, float]]:
         """Top-k chunks by cosine similarity; ties break on ascending id."""
@@ -338,12 +348,17 @@ class VectorStore:
                     "matrix file; re-ingest its documents"
                 )
             try:
-                chunk = Chunk(id=row["id"], doc_id=row["doc_id"], text=row["text"])
+                chunk_id, doc_id, text = row["id"], row["doc_id"], row["text"]
             except (KeyError, TypeError) as exc:
                 raise DataError(f"{path}:{lineno}: chunk row needs id, doc_id, text") from exc
-            if not all(isinstance(v, str) for v in (chunk.id, chunk.doc_id, chunk.text)):
+            if type(chunk_id) is not str or type(doc_id) is not str or type(text) is not str:
                 raise DataError(f"{path}:{lineno}: chunk id, doc_id and text must be strings")
-            chunks.append(chunk)
+            if chunks and chunk_id <= chunks[-1].id:
+                raise DataError(
+                    f"{path}:{lineno}: chunk id {chunk_id!r} does not follow {chunks[-1].id!r}; "
+                    "rows must be sorted by id without duplicates"
+                )
+            chunks.append(Chunk(id=chunk_id, doc_id=doc_id, text=text))
         rows, crc = header.get("rows"), header.get("crc32")
         if not isinstance(rows, int) or not isinstance(crc, int):
             raise DataError(
@@ -360,7 +375,9 @@ class VectorStore:
                 f"{path}:{lines[row_no + 1][0]}: embedding (row {row_no} of {path}{MATRIX_SUFFIX}) "
                 "has a non-finite value"
             )
-        store.add_chunks(chunks, matrix)
+        store.chunks = chunks
+        store.matrix = np.ascontiguousarray(matrix)
+        store.norms = np.linalg.norm(store.matrix, axis=1)
         return store
 
 
@@ -399,28 +416,39 @@ def _now() -> int:
 
 def ingest(
     store: VectorStore,
-    doc_id: str,
-    text: str,
+    docs: Sequence[tuple[str, str]],
     provider: EmbeddingProvider,
     size: int = CHUNK_SIZE,
     overlap: int = CHUNK_OVERLAP,
 ) -> int:
-    """Chunk, embed, and add a document; returns the number of new chunks."""
-    if not doc_id or doc_id != doc_id.strip():
-        raise DataError(f"doc_id must be non-empty without surrounding whitespace, got {doc_id!r}")
+    """Chunk every ``(doc_id, text)`` of ``docs``, embed and add them; returns the new chunk count.
+
+    Every doc id is checked before any work, all chunks go to the provider in
+    one ``embed`` call and into the store in one merge, so the store is
+    untouched if anything is wrong.
+    """
     if provider.name != store.provider_name:
         raise DataError(
             f"provider {provider.name!r} does not match store provider {store.provider_name!r}"
         )
     if provider.dim != store.dim:
         raise DataError(f"provider dim {provider.dim} != store dim {store.dim}")
-    pieces = chunk_document(text, size=size, overlap=overlap)
-    if not pieces:
+    seen: set[str] = set()
+    for doc_id, _ in docs:
+        if not doc_id or doc_id != doc_id.strip():
+            raise DataError(f"doc_id must be non-empty without surrounding whitespace, got {doc_id!r}")
+        if doc_id in seen:
+            raise DataError(f"doc_id {doc_id!r} is given twice")
+        seen.add(doc_id)
+    new_chunks = [
+        Chunk(id=f"{doc_id}:{offset}", doc_id=doc_id, text=piece)
+        for doc_id, text in docs
+        for offset, piece in chunk_document(text, size=size, overlap=overlap)
+    ]
+    if not new_chunks:
         return 0
-    vectors = provider.embed([piece for _, piece in pieces])
-    new_chunks = [Chunk(id=f"{doc_id}:{offset}", doc_id=doc_id, text=piece) for offset, piece in pieces]
-    store.add_chunks(new_chunks, vectors)
-    return len(pieces)
+    store.add_chunks(new_chunks, provider.embed([chunk.text for chunk in new_chunks]))
+    return len(new_chunks)
 
 
 def retrieve(

@@ -58,7 +58,7 @@ def embedder():
 @pytest.fixture()
 def handbook_store(embedder):
     store = VectorStore(dim=embedder.dim, provider_name=embedder.name, created=1700000000)
-    ingest(store, "handbook", fixture_text("handbook.txt"), embedder)
+    ingest(store, [("handbook", fixture_text("handbook.txt"))], embedder)
     return store
 
 

@@ -1,3 +1,5 @@
+import hashlib
+import importlib
 import io
 import json
 import subprocess
@@ -101,6 +103,74 @@ def test_ingest_writes_matrix_then_jsonl(capsys, workdir, monkeypatch):
     code, _, _ = run(capsys, "ingest", "--store", "s.jsonl", "--doc", "handbook.txt")
     assert code == 0
     assert written == [("s.jsonl.npy", bytes), ("s.jsonl", str)]
+
+
+def _three_docs(workdir):
+    """The handbook's paragraphs dealt into three files, given out of id order."""
+    paragraphs = (workdir / "handbook.txt").read_text(encoding="utf-8").split("\n\n")
+    names = ("gamma", "alpha", "beta")
+    for i, name in enumerate(names):
+        (workdir / f"{name}.txt").write_text("\n\n".join(paragraphs[i::3]), encoding="utf-8")
+    return [arg for name in names for arg in ("--doc", f"{name}.txt")]
+
+
+# SHA-256 of the store pair `_three_docs` ingests under SOURCE_DATE_EPOCH=1700000000.
+THREE_DOC_SHA256 = {
+    "s.jsonl": "96d8f13528380511823a01aee126d4b16b1e408bbdb65b1f55d45e35933a4ed6",
+    "s.jsonl.npy": "a81fecc88b42168ca271847f27adc1ed309ac27f4b0f24d26bd9c11bf94c0f68",
+}
+
+
+def test_three_document_store_is_pinned(capsys, workdir):
+    code, out, err = run(
+        capsys, "ingest", "--store", "s.jsonl", *_three_docs(workdir), "--size", "200", "--overlap", "40",
+    )
+    assert code == 0, err
+    assert "from 3 documents" in out
+    digests = {name: hashlib.sha256((workdir / name).read_bytes()).hexdigest() for name in THREE_DOC_SHA256}
+    assert digests == THREE_DOC_SHA256
+
+
+def _count_calls(monkeypatch, *targets):
+    """Count calls of each ``(class, method)`` in the ragstore module."""
+    # look the module up by name, as the package re-exports some functions under module names
+    ragstore = importlib.import_module("ontorag.ragstore")
+    calls = {}
+    for cls, name in targets:
+        owner = getattr(ragstore, cls)
+        real = getattr(owner, name)
+        key = f"{cls}.{name}"
+        calls[key] = 0
+
+        def counting(self, *args, _real=real, _key=key, **kwargs):
+            calls[_key] += 1
+            return _real(self, *args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counting)
+    return calls
+
+
+def test_ingest_embeds_and_merges_once(capsys, workdir, monkeypatch):
+    calls = _count_calls(monkeypatch, ("DeterministicEmbedder", "embed"), ("VectorStore", "add_chunks"))
+    code, out, err = run(capsys, "ingest", "--store", "s.jsonl", *_three_docs(workdir))
+    assert code == 0, err
+    assert "from 3 documents" in out
+    assert calls == {"DeterministicEmbedder.embed": 1, "VectorStore.add_chunks": 1}
+
+
+@pytest.mark.parametrize("bad_doc", ["trailing .txt", "sub/alpha.txt"], ids=["bad-last-id", "same-stem"])
+def test_bad_ingest_leaves_store_pair_alone(capsys, workdir, monkeypatch, bad_doc):
+    run(capsys, "ingest", "--store", "s.jsonl", "--doc", "handbook.txt")
+    before = {name: (workdir / name).read_bytes() for name in ("s.jsonl", "s.jsonl.npy")}
+    docs = _three_docs(workdir)
+    (workdir / bad_doc).parent.mkdir(exist_ok=True)
+    (workdir / bad_doc).write_text("Fever notes.", encoding="utf-8")
+    calls = _count_calls(monkeypatch, ("DeterministicEmbedder", "embed"))
+    code, _, err = run(capsys, "ingest", "--store", "s.jsonl", *docs, "--doc", bad_doc)
+    assert code == 2
+    assert "doc_id" in err
+    assert calls == {"DeterministicEmbedder.embed": 0}
+    assert {name: (workdir / name).read_bytes() for name in before} == before
 
 
 def test_infiltrate_stdin_lines(capsys, workdir, monkeypatch):

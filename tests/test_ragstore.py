@@ -61,23 +61,73 @@ class TestDeterministicEmbed:
     @example("  --  !? ", 32)
     @example("a a a b", 8)
     def test_matches_per_token_reference(self, text, dim):
-        expected = np.zeros(dim, dtype=np.float64)
-        tokens = label_tokens(text)
-        if tokens:
-            for tok in tokens:
-                expected[zlib.crc32(tok.encode("utf-8"), 0x9E3779B9) % dim] += 1.0
-            expected /= np.linalg.norm(expected)
-        else:
-            expected[0] = 1.0
         got = deterministic_embed(text, dim=dim)
         assert got.dtype == np.float64
-        assert got.tobytes() == expected.tobytes()
+        assert got.tobytes() == _reference_row(text, dim).tobytes()
+
+    @given(
+        st.lists(
+            st.one_of(
+                st.text(max_size=40),
+                st.text(alphabet="ab c", max_size=12),
+                st.text(alphabet=" .,;!?-", max_size=8),
+                st.sampled_from(["", "Fieber über 39", "naïve café", "発熱 fever"]),
+            ),
+            max_size=12,
+        ),
+        st.sampled_from([8, 32, 256]),
+    )
+    @example(["", "x", "", "x x"], 8)
+    @example(["same words", "same words", "  !? ", "Straße STRASSE"], 32)
+    def test_batch_matches_per_token_reference(self, texts, dim):
+        out = DeterministicEmbedder(dim).embed(texts)
+        assert out.dtype == np.float64
+        assert out.shape == (len(texts), dim)
+        for text, row in zip(texts, out):
+            assert row.tobytes() == _reference_row(text, dim).tobytes()
+
+    def test_empty_batches(self):
+        provider = DeterministicEmbedder(dim=16)
+        out = provider.embed([])
+        assert out.shape == (0, 16) and out.dtype == np.float64
+        out = provider.embed(["", " ", "?!"])
+        np.testing.assert_array_equal(out, np.tile(np.eye(16)[0], (3, 1)))
+
+    def test_each_distinct_token_is_hashed_once(self, monkeypatch):
+        hashed = []
+
+        class CountingZlib:
+            def crc32(self, data, value=0):
+                hashed.append(data)
+                return zlib.crc32(data, value)
+
+        monkeypatch.setattr(ragstore, "zlib", CountingZlib())
+        embedder = DeterministicEmbedder(dim=16)
+        first = embedder.embed(["fever fever chills", "chills", "", "Fever, rash"])
+        assert sorted(hashed) == [b"chills", b"fever", b"rash"]
+        # later calls hash only tokens the embedder has not seen
+        second = embedder.embed(["rash and fever", "fever fever chills"])
+        assert sorted(hashed) == [b"and", b"chills", b"fever", b"rash"]
+        assert second[1].tobytes() == first[0].tobytes()
 
     def test_provider_batches(self):
         provider = DeterministicEmbedder(dim=16)
         out = provider.embed(["a", "b"])
         assert out.shape == (2, 16)
         np.testing.assert_array_equal(out[0], deterministic_embed("a", dim=16))
+
+
+def _reference_row(text, dim):
+    """The embedding of ``text`` built one token at a time."""
+    expected = np.zeros(dim, dtype=np.float64)
+    tokens = label_tokens(text)
+    if tokens:
+        for tok in tokens:
+            expected[zlib.crc32(tok.encode("utf-8"), 0x9E3779B9) % dim] += 1.0
+        expected /= np.linalg.norm(expected)
+    else:
+        expected[0] = 1.0
+    return expected
 
 
 class TestChunkDocument:
@@ -383,12 +433,32 @@ class TestStorePair:
         with pytest.raises(DataError, match=r"s\.jsonl\.npy: "):
             VectorStore.load(str(path))
 
+    def test_fortran_order_matrix_loads_c_contiguous(self, tmp_path):
+        matrix = np.asfortranarray(np.arange(24, dtype=np.float64).reshape(3, 8))
+        path = tmp_path / "s.jsonl"
+        _write_pair(path, [{**_ROW, "id": cid} for cid in "abc"], matrix)
+        loaded = VectorStore.load(str(path))
+        assert loaded.matrix.flags.c_contiguous
+        np.testing.assert_array_equal(loaded.matrix, matrix)
+        np.testing.assert_array_equal(loaded.norms, np.linalg.norm(matrix, axis=1))
+
     def test_nan_row_names_its_jsonl_line(self, tmp_path):
         matrix = np.ones((3, 8))
         matrix[2, 5] = np.nan
         path = tmp_path / "s.jsonl"
         _write_pair(path, [{**_ROW, "id": cid} for cid in "abc"], matrix)
         with pytest.raises(DataError, match=r"s\.jsonl:4: embedding \(row 2 of .*s\.jsonl\.npy\)"):
+            VectorStore.load(str(path))
+
+    @pytest.mark.parametrize(
+        "ids", ["acb", "abb", "aab", "ba"], ids=["swapped", "duplicate", "duplicate-first", "reversed"]
+    )
+    def test_rows_out_of_id_order_name_their_line(self, tmp_path, ids):
+        # the first row that is not strictly after its predecessor is reported
+        line = next(n for n in range(1, len(ids)) if ids[n] <= ids[n - 1]) + 2
+        path = tmp_path / "s.jsonl"
+        _write_pair(path, [{**_ROW, "id": cid} for cid in ids], np.ones((len(ids), 8)))
+        with pytest.raises(DataError, match=rf"s\.jsonl:{line}: chunk id '{ids[line - 2]}' does not follow"):
             VectorStore.load(str(path))
 
     def test_inline_embeddings_say_reingest(self, tmp_path):
@@ -414,28 +484,57 @@ class TestIngest:
     def test_rejects_mismatched_provider(self, handbook_store):
         other = DeterministicEmbedder(dim=32)
         with pytest.raises(DataError):
-            ingest(handbook_store, "x", "text", other)
+            ingest(handbook_store, [("x", "text")], other)
 
         class Misnamed(DeterministicEmbedder):
             name = "something-else"
 
         with pytest.raises(DataError):
-            ingest(handbook_store, "x", "text", Misnamed(dim=handbook_store.dim))
+            ingest(handbook_store, [("x", "text")], Misnamed(dim=handbook_store.dim))
 
     def test_doc_id_validation(self, handbook_store, embedder):
         with pytest.raises(DataError):
-            ingest(handbook_store, "", "text", embedder)
+            ingest(handbook_store, [("", "text")], embedder)
         with pytest.raises(DataError):
-            ingest(handbook_store, " padded ", "text", embedder)
+            ingest(handbook_store, [(" padded ", "text")], embedder)
 
     def test_empty_document_is_noop(self, embedder):
         store = VectorStore.new(embedder)
-        assert ingest(store, "d", "", embedder) == 0
+        assert ingest(store, [("d", "")], embedder) == 0
         assert len(store) == 0
+
+    @pytest.mark.parametrize(
+        "docs",
+        [
+            [("alpha", "fever notes"), ("beta", "rash notes"), ("gamma ", "cough notes")],
+            [("alpha", "fever notes"), ("beta", "rash notes"), ("alpha", "other notes")],
+            [("alpha", ""), ("alpha", "")],
+        ],
+        ids=["bad-last-id", "repeated-id", "repeated-empty"],
+    )
+    def test_bad_batch_leaves_store_unchanged(self, handbook_store, embedder, monkeypatch, docs):
+        chunks, matrix = list(handbook_store.chunks), handbook_store.matrix.tobytes()
+        embedded = []
+        monkeypatch.setattr(embedder, "embed", lambda texts: embedded.append(texts))
+        with pytest.raises(DataError, match="doc_id"):
+            ingest(handbook_store, docs, embedder)
+        assert embedded == []
+        assert handbook_store.chunks == chunks
+        assert handbook_store.matrix.tobytes() == matrix
+
+    def test_many_documents_in_one_batch(self, embedder):
+        docs = [("b", "rash notes " * 40), ("a", "fever notes " * 40), ("c", "")]
+        store = VectorStore.new(embedder)
+        assert ingest(store, docs, embedder, size=100, overlap=20) == 12
+        assert store.doc_ids() == ["a", "b"]
+        ids = [c.id for c in store.chunks]
+        assert ids == sorted(ids)
+        for chunk, row in zip(store.chunks, store.matrix):
+            assert row.tobytes() == deterministic_embed(chunk.text, embedder.dim).tobytes()
 
     def test_reingest_same_doc_rejected(self, handbook_store, embedder):
         with pytest.raises(DataError):
-            ingest(handbook_store, "handbook", fixture_text("handbook.txt"), embedder)
+            ingest(handbook_store, [("handbook", fixture_text("handbook.txt"))], embedder)
 
     def test_retrieve_function(self, handbook_store, embedder):
         hits = retrieve(handbook_store, "constipation advice", embedder, k=2)
