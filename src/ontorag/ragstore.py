@@ -24,7 +24,7 @@ from typing import Protocol, Sequence
 import numpy as np
 import zlib
 
-from ._kernels import cosine_scan
+from ._kernels import cosine_scan, top_k
 from .errors import DataError, ProviderError
 from .model import label_tokens
 
@@ -35,6 +35,9 @@ MIN_DIM = 8
 DEFAULT_DIM = 256
 _HASH_SEED = 0x9E3779B9
 MATRIX_SUFFIX = ".npy"
+# json.dumps(obj, ensure_ascii=False) builds an encoder per call; this one is
+# stateless and gives the same text.
+_JSON_ENCODER = json.JSONEncoder(ensure_ascii=False)
 
 
 class EmbeddingProvider(Protocol):
@@ -167,6 +170,13 @@ class HttpEmbeddingProvider:
             raise ProviderError(
                 f"embedding response from {self.url} has width {out.shape[-1] if out.ndim == 2 else '?'}, expected {self.dim}"
             )
+        # json accepts NaN and Infinity, which no embedding may hold.
+        finite = np.isfinite(out).all(axis=1)
+        if not finite.all():
+            raise ProviderError(
+                f"malformed embedding response from {self.url}: row {int(np.argmin(finite))} "
+                "has a non-finite value"
+            )
         return out
 
 
@@ -252,9 +262,6 @@ class VectorStore:
                 f"{len(new_chunks)} chunks need vectors of shape ({len(new_chunks)}, {self.dim}), "
                 f"got {vectors.shape}"
             )
-        finite = np.isfinite(vectors).all(axis=1)
-        if not finite.all():
-            raise DataError(f"chunk {new_chunks[int(np.argmin(finite))].id}: embedding is not finite")
         seen = self.chunk_ids()
         for chunk in new_chunks:
             if chunk.id in seen:
@@ -269,12 +276,25 @@ class VectorStore:
         matrix = np.empty((len(chunks), self.dim), dtype=np.float64)
         matrix[rank[: len(self.chunks)]] = self.matrix
         matrix[rank[len(self.chunks) :]] = vectors
+        # A NaN or infinite value makes a row's norm non-finite, and so does a
+        # finite row whose sum of squares overflows: either would score NaN.
+        norms = np.linalg.norm(matrix, axis=1)
+        finite = np.isfinite(norms[rank[len(self.chunks) :]])
+        if not finite.all():
+            raise DataError(
+                f"chunk {new_chunks[int(np.argmin(finite))].id}: embedding has a non-finite value "
+                "or its norm overflows"
+            )
         self.chunks = [chunks[i] for i in order]
         self.matrix = matrix
-        self.norms = np.linalg.norm(matrix, axis=1)
+        self.norms = norms
 
     def nearest(self, query: np.ndarray, k: int) -> list[tuple[Chunk, float]]:
-        """Top-k chunks by cosine similarity; ties break on ascending id."""
+        """Top-k chunks by cosine similarity; ties break on ascending id.
+
+        A query with a non-finite value, or whose norm overflows, is a
+        DataError; a zero query scores 0.0 against every chunk.
+        """
         if k < 1:
             raise DataError("k must be >= 1")
         if not self.chunks:
@@ -282,13 +302,14 @@ class VectorStore:
         q = np.ascontiguousarray(np.asarray(query, dtype=np.float64).reshape(-1))
         if q.shape[0] != self.dim:
             raise DataError(f"query width {q.shape[0]} != store dim {self.dim}")
-        qnorm = float(np.linalg.norm(q))
+        # The same bits as np.linalg.norm, whose 1-D form is sqrt(q.dot(q)).
+        qnorm = math.sqrt(q.dot(q))
+        if not math.isfinite(qnorm):
+            raise DataError("query embedding has a non-finite value or its norm overflows")
         if qnorm == 0.0:
-            scores = np.zeros(len(self.chunks), dtype=np.float64)
-        else:
-            scores = cosine_scan(self.matrix, self.norms, q, qnorm)
-        order = np.argsort(-scores, kind="stable")[:k]
-        return [(self.chunks[i], float(scores[i])) for i in order]
+            return [(chunk, 0.0) for chunk in self.chunks[:k]]
+        ranked = top_k(cosine_scan(self.matrix, self.norms, q, qnorm), k)
+        return [(self.chunks[i], score) for i, score in ranked]
 
     def to_jsonl(self, path: str) -> list[tuple[str, str | bytes]]:
         """The files of a store saved at ``path``, as (path, content) in write order.
@@ -307,11 +328,10 @@ class VectorStore:
             "rows": len(self.chunks),
             "crc32": zlib.crc32(npy),
         }
-        lines = [json.dumps(header, ensure_ascii=False)]
+        encode = _JSON_ENCODER.encode
+        lines = [encode(header)]
         for chunk in self.chunks:
-            lines.append(
-                json.dumps({"id": chunk.id, "doc_id": chunk.doc_id, "text": chunk.text}, ensure_ascii=False)
-            )
+            lines.append(encode({"id": chunk.id, "doc_id": chunk.doc_id, "text": chunk.text}))
         return [(path + MATRIX_SUFFIX, npy), (path, "\n".join(lines) + "\n")]
 
     @classmethod
@@ -367,17 +387,16 @@ class VectorStore:
             )
         if rows != len(chunks):
             raise DataError(f"{path}:{header_no}: header says {rows} rows, the file has {len(chunks)}")
-        matrix = _read_matrix(path + MATRIX_SUFFIX, crc, (rows, store.dim))
-        finite = np.isfinite(matrix).all(axis=1)
+        matrix = np.ascontiguousarray(_read_matrix(path + MATRIX_SUFFIX, crc, (rows, store.dim)))
+        norms = np.linalg.norm(matrix, axis=1)
+        finite = np.isfinite(norms)
         if not finite.all():
             row_no = int(np.argmin(finite))
             raise DataError(
                 f"{path}:{lines[row_no + 1][0]}: embedding (row {row_no} of {path}{MATRIX_SUFFIX}) "
-                "has a non-finite value"
+                "has a non-finite value or its norm overflows"
             )
-        store.chunks = chunks
-        store.matrix = np.ascontiguousarray(matrix)
-        store.norms = np.linalg.norm(store.matrix, axis=1)
+        store.chunks, store.matrix, store.norms = chunks, matrix, norms
         return store
 
 

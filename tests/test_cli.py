@@ -298,6 +298,27 @@ class TestExitCodes:
         assert code == 3
         assert "malformed embedding response from http://embed.invalid/v1" in err
 
+    def test_non_finite_embeddings_map_to_3(self, capsys, workdir, monkeypatch):
+        import requests
+
+        class WithNaN:
+            status_code = 200
+
+            def __init__(self, n):
+                self.text = json.dumps({"data": [{"embedding": [0.5] * 255 + [float("nan")]}] * n})
+
+            def json(self):
+                return json.loads(self.text)  # json reads the NaN token back as a float
+
+        monkeypatch.setattr(requests, "post", lambda url, json=None, **k: WithNaN(len(json["input"])))
+        code, _, err = run(
+            capsys, "ingest", "--store", "s.jsonl", "--doc", "handbook.txt",
+            "--provider", "http://embed.invalid/v1",
+        )
+        assert code == 3
+        assert "malformed embedding response from http://embed.invalid/v1: row 0" in err
+        assert not (workdir / "s.jsonl").exists()
+
     def test_no_command_prints_help(self, capsys, workdir):
         code, _, err = run(capsys)
         assert code == 1

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ontorag._kernels import cosine_scan, levenshtein
+from ontorag._kernels import cosine_scan, levenshtein, top_k
 
 
 def ref_levenshtein(a: str, b: str) -> int:
@@ -66,3 +66,52 @@ def test_cosine_scan_zero_norm_rows_score_zero():
     out = cosine_scan(matrix, norms, q, float(np.linalg.norm(q)))
     assert out[0] == 0.0 and out[2] == 0.0
     assert out[1] == pytest.approx(1.0)
+
+
+def masked_cosine(matrix, norms, query, qnorm):
+    """The scan as a boolean-mask copy, kept as the reference for its bits."""
+    scores = matrix @ query
+    safe = norms > 0.0
+    out = np.zeros(matrix.shape[0], dtype=np.float64)
+    out[safe] = scores[safe] / (norms[safe] * qnorm)
+    return out
+
+
+@settings(deadline=None, max_examples=100)
+@given(st.integers(1, 40), st.integers(1, 24), st.integers(0, 2**32 - 1))
+def test_cosine_scan_bytes_equal_masked_formula(rows, dim, seed):
+    rng = np.random.default_rng(seed)
+    matrix = rng.standard_normal((rows, dim))
+    matrix[rng.random(rows) < 0.3] = 0.0  # zero-norm rows
+    norms = np.linalg.norm(matrix, axis=1)
+    q = rng.standard_normal(dim)
+    qn = float(np.linalg.norm(q))
+    assert cosine_scan(matrix, norms, q, qn).tobytes() == masked_cosine(matrix, norms, q, qn).tobytes()
+
+
+def _ranked_bits(pairs):
+    return [(int(i), np.float64(score).tobytes()) for i, score in pairs]
+
+
+def _argsort_top_k(scores, k):
+    order = np.argsort(-scores, kind="stable")[:k]
+    return [(i, scores[i]) for i in order]
+
+
+_tied_scores = st.lists(st.sampled_from([-1.0, -0.0, 0.0, 0.25, 1.0]), min_size=1, max_size=60)
+_any_scores = st.lists(st.floats(-1.0, 1.0, allow_nan=False), min_size=1, max_size=60)
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.one_of(_tied_scores, _any_scores), st.integers(1, 70))
+@example([0.5], 1)
+@example([0.5], 3)
+@example([0.0, -0.0, 0.0], 2)
+@example([1.0, 1.0, 2.0, 1.0], 1)
+@example([1.0, 1.0, 2.0, 1.0], 4)
+def test_top_k_matches_stable_argsort(values, k):
+    scores = np.array(values, dtype=np.float64)
+    got = top_k(scores, k)
+    assert _ranked_bits(got) == _ranked_bits(_argsort_top_k(scores, k))
+    assert all(type(i) is int and type(score) is float for i, score in got)
+

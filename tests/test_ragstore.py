@@ -199,7 +199,8 @@ class TestVectorStore:
                 store.add_chunks(chunks, vectors)
         assert len(store) == 0
 
-    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1e200], ids=["nan", "inf", "-inf", "overflow"])
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_non_finite_vectors_rejected(self, bad):
         store = _mini_store()
         _add(store, _chunk("d:0", np.ones(8)))
@@ -260,6 +261,50 @@ class TestVectorStore:
         assert len(store.nearest(np.ones(8), k=10)) == 1
         zero = store.nearest(np.zeros(8), k=1)
         assert zero[0][1] == 0.0
+
+    def test_zero_query_returns_the_first_chunks(self):
+        store = _mini_store()
+        e = np.eye(8)
+        _add(store, *(_chunk(f"d:{i}", e[i]) for i in (3, 1, 2, 0)))
+        hits = store.nearest(np.zeros(8), k=3)
+        assert [(c.id, score) for c, score in hits] == [("d:0", 0.0), ("d:1", 0.0), ("d:2", 0.0)]
+        assert all(np.float64(score).tobytes() == np.float64(0.0).tobytes() for _, score in hits)
+
+    @pytest.mark.parametrize(
+        "bad", [np.nan, np.inf, -np.inf, 1e200], ids=["nan", "inf", "-inf", "norm-overflow"]
+    )
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_non_finite_query_is_data_error(self, bad):
+        store = _mini_store()
+        _add(store, _chunk("d:0", np.ones(8)), _chunk("d:1", np.eye(8)[0]))
+        query = np.ones(8)
+        query[2] = bad
+        with pytest.raises(DataError, match="query embedding"):
+            store.nearest(query, k=2)
+
+    def test_all_equal_scores_keep_the_first_ids(self):
+        store = _mini_store()
+        ids = [f"d:{i:04d}" for i in range(4000)]
+        store.add_chunks([Chunk(cid, "d", "t") for cid in ids], np.ones((4000, 8)))
+        hits = store.nearest(np.ones(8), k=4)
+        assert [c.id for c, _ in hits] == ids[:4]
+        assert len({score for _, score in hits}) == 1
+
+    def test_nearest_matches_stable_argsort(self):
+        rng = np.random.default_rng(3)
+        store = _mini_store()
+        # few distinct rows, so many scores tie
+        vectors = rng.integers(0, 3, size=(300, 8)).astype(np.float64)
+        store.add_chunks([Chunk(f"d:{i:03d}", "d", "t") for i in range(300)], vectors)
+        for k in (1, 4, 299, 300, 301):
+            query = rng.integers(0, 3, size=8).astype(np.float64)
+            if not query.any():
+                continue
+            scores = (store.matrix @ query) / (store.norms * float(np.linalg.norm(query)))
+            scores[store.norms == 0.0] = 0.0
+            want = [(store.chunks[i].id, scores[i].tobytes()) for i in np.argsort(-scores, kind="stable")[:k]]
+            got = [(c.id, np.float64(score).tobytes()) for c, score in store.nearest(query, k)]
+            assert got == want
 
     def test_doc_ids(self):
         store = _mini_store()
@@ -323,6 +368,7 @@ class TestVectorStore:
             {"vector": [1.0] * 7 + [float("nan")]},
             {"vector": [float("inf")] * 8},
             {"vector": [1.0] * 7 + [float("-inf")]},
+            {"vector": [1.0] * 7 + [1e200]},
             {"row": {"id": 5}},
             {"row": {"doc_id": None}},
             {"row": {"text": ["t"]}},
@@ -332,6 +378,7 @@ class TestVectorStore:
             {"drop": "text"},
         ],
     )
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_bad_row_names_its_line(self, tmp_path, bad):
         rows = [{**_ROW, "id": cid} for cid in "abc"]
         rows[1].update(bad.get("row", {}))
@@ -622,7 +669,7 @@ class TestHttpEmbeddingProvider:
         with pytest.raises(ProviderError):
             provider.embed(["x"])
 
-        for rows in ([[0.0] * 8, [0.0] * 7], [["x"] * 8, [0.0] * 8]):
+        for rows in ([[0.0] * 8, [0.0] * 7], [["x"] * 8, [0.0] * 8], [[0.0] * 8, [float("nan")] * 8]):
             self._patch(
                 monkeypatch,
                 lambda *a, rows=rows, **k: _FakeResponse(payload={"data": [{"embedding": r} for r in rows]}),
