@@ -7,7 +7,11 @@ a store of any size takes the same path. Levenshtein is the Myers/Hyyrö
 bit-parallel algorithm (Myers, JACM 1999; Hyyrö 2003) on Python ints: one
 column of the edit-distance table is held as bit vectors of vertical +1/-1
 deltas and updated with a handful of word operations per character. Python
-ints are unbounded, so strings of any length take the same path.
+ints are unbounded, so strings of any length take the same path. A caller that
+only needs distances up to some ``cutoff`` passes it: the column's last cell
+moves by at most one per character, so after ``j`` of the shorter string's
+``n`` characters the final distance is at least ``dist - (n - j)``. Once that
+bound exceeds the cutoff the loop stops (Ukkonen's cut-off, Inf. Control 1985).
 """
 
 from __future__ import annotations
@@ -42,12 +46,21 @@ def top_k(scores: np.ndarray, k: int) -> list[tuple[int, float]]:
     return sorted(zip(rows.tolist(), scores[rows].tolist()), key=itemgetter(1), reverse=True)
 
 
-def levenshtein(a: str, b: str) -> int:
-    """Edit distance (insert/delete/substitute, unit costs) between strings."""
+def levenshtein(a: str, b: str, cutoff: int | None = None) -> int:
+    """Edit distance (insert/delete/substitute, unit costs) between strings.
+
+    With a ``cutoff``, a distance up to ``cutoff`` is returned exactly and any
+    larger one as ``cutoff + 1``, which means only "more than ``cutoff``".
+    """
     if a == b:
         return 0
     if len(a) < len(b):
         a, b = b, a
+    if cutoff is None:
+        cutoff = len(a)  # no distance exceeds the longer length
+    # The bound below starts at the length difference and never falls.
+    if len(a) - len(b) > cutoff:
+        return cutoff + 1
     if not b:
         return len(a)
     # The longer string is the pattern (one bit per character), so the loop
@@ -58,7 +71,8 @@ def levenshtein(a: str, b: str) -> int:
     mask = (1 << len(a)) - 1
     last = 1 << (len(a) - 1)
     pv, mv, dist = mask, 0, len(a)
-    for ch in b:
+    limit = cutoff + len(b)
+    for j, ch in enumerate(b, 1):
         eq = peq.get(ch, 0)
         xv = eq | mv
         xh = (((eq & pv) + pv) ^ pv) | eq
@@ -68,6 +82,8 @@ def levenshtein(a: str, b: str) -> int:
             dist += 1
         elif mh & last:
             dist -= 1
+        if dist + j > limit:  # dist - (len(b) - j) > cutoff
+            return cutoff + 1
         ph = (ph << 1) | 1
         mh <<= 1
         pv = (mh | ~(xv | ph)) & mask

@@ -55,11 +55,14 @@ def _features(text: str) -> _Features:
 def _score(fa: _Features, fb: _Features, floor: float) -> float:
     """The lexical formula on two feature tuples, under the ``floor`` contract.
 
-    Edit distance is at least the length difference, so
-    ``1 - |la - lb| / max(la, lb)`` bounds the edit similarity from above
-    (also in floating point: both steps are monotone). When that bound is
-    below the floor or below Jaccard, the edit similarity cannot raise an
-    accepted score and Levenshtein is skipped.
+    Edit similarity ``1 - dist / longest`` only matters when it reaches
+    ``need = max(floor, jaccard)``. It falls as ``dist`` grows, also in
+    floating point, so once ``cutoff + 1`` falls short, every larger distance
+    does too. Edit distance is at least the length difference, so a larger
+    difference than ``cutoff`` skips Levenshtein, and Levenshtein stops once
+    the distance exceeds ``cutoff``. A distance past the cutoff is never
+    turned into a score: the pair scores ``jaccard``, which is exact when it
+    reaches the floor and below the floor otherwise.
     """
     a, ta = fa
     b, tb = fb
@@ -69,10 +72,19 @@ def _score(fa: _Features, fb: _Features, floor: float) -> float:
         return 0.0
     jaccard = len(ta & tb) / len(ta | tb) if (ta or tb) else 0.0
     longest = max(len(a), len(b))
-    if 1.0 - abs(len(a) - len(b)) / longest < max(floor, jaccard):
+    need = max(floor, jaccard)
+    # int() of the product can land one below the largest distance that
+    # reaches `need` (longest 10 at need 0.9), so step up in the score's own
+    # expression.
+    cutoff = int((1.0 - need) * longest)
+    while 1.0 - (cutoff + 1) / longest >= need:
+        cutoff += 1
+    if abs(len(a) - len(b)) > cutoff:
         return jaccard
-    edit = 1.0 - levenshtein(a, b) / longest
-    return max(jaccard, edit)
+    dist = levenshtein(a, b, cutoff)
+    if dist > cutoff:
+        return jaccard
+    return max(jaccard, 1.0 - dist / longest)
 
 
 def lexical_score(text_a: str, text_b: str) -> float:

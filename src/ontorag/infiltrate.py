@@ -55,7 +55,7 @@ def _fuzzy_anchor(key: str, word_count: int, dictionary: SubsumptionDictionary) 
     for anchor in dictionary.anchors_by_word_count.get(word_count, ()):
         if abs(len(key) - len(anchor)) > FUZZY_MAX_EDITS:
             continue  # the edit distance is at least the length difference
-        dist = levenshtein(key, anchor)
+        dist = levenshtein(key, anchor, FUZZY_MAX_EDITS)
         if dist <= FUZZY_MAX_EDITS and (best is None or (dist, anchor) < best):
             best = (dist, anchor)
     return None if best is None else best[1]

@@ -90,7 +90,7 @@ class OntologyClass:
         """The label, or the normalized IRI local name when none was given."""
         return self.label if self.label else normalize_label(local_name(self.iri))
 
-    @property
+    @cached_property
     def normalized_texts(self) -> frozenset[str]:
         """Normalized display label plus normalized synonyms, empties dropped."""
         texts = {normalize_label(self.display_label)}

@@ -245,9 +245,6 @@ class VectorStore:
     def __len__(self) -> int:
         return len(self.chunks)
 
-    def doc_ids(self) -> list[str]:
-        return sorted({c.doc_id for c in self.chunks})
-
     def chunk_ids(self) -> set[str]:
         return {c.id for c in self.chunks}
 

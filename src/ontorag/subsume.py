@@ -116,9 +116,6 @@ class SubsumptionDictionary:
 
     entries: dict[str, tuple[str, ...]] = field(default_factory=dict)
 
-    def lookup(self, text: str) -> tuple[str, ...]:
-        return self.entries.get(normalize_label(text), ())
-
     @cached_property
     def anchors_by_word_count(self) -> dict[int, tuple[str, ...]]:
         """Anchors grouped by their token count."""

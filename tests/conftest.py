@@ -42,9 +42,9 @@ def levenshtein_calls(monkeypatch):
     real = module.levenshtein
     calls = []
 
-    def counting(a, b):
+    def counting(a, b, cutoff=None):
         calls.append((a, b))
-        return real(a, b)
+        return real(a, b, cutoff)
 
     monkeypatch.setattr(module, "levenshtein", counting)
     return calls

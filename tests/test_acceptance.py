@@ -322,9 +322,8 @@ def test_criterion_8_infiltration_bounds(capsys, fixture_dictionary):
             assert len(out.appended) <= MAX_APPEND_TOTAL
             allowed = set()
             for anchor in out.matched:
-                hit = fixture_dictionary.lookup(anchor)
-                assert hit is not None, anchor
-                allowed.update(hit)
+                assert anchor in fixture_dictionary.entries, anchor
+                allowed.update(fixture_dictionary.entries[anchor])
             assert set(out.appended) <= allowed
 
             assert infiltrate(prompt, empty).augmented == prompt

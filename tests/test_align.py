@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from ontorag._kernels import levenshtein
@@ -65,6 +65,8 @@ class TestLexicalScore:
         assert LexicalScorer().score_many(pairs) == [lexical_score(a, b) for a, b in pairs]
 
     @given(st.lists(st.tuples(_labels, _labels), max_size=8), st.floats(0.0, 1.0))
+    # An early exit that scored its partial distance broke the contract here.
+    @example([("aaaaa", "000")], 0.5)
     def test_floor_contract(self, pairs, floor):
         exact = [_reference_score(a, b) for a, b in pairs]
         assert [lexical_score(a, b) for a, b in pairs] == exact
@@ -76,6 +78,14 @@ class TestLexicalScore:
                 assert got < floor and got <= want
             # a floor equal to the exact score still gets it exactly
             assert scorer.score_many([pair], floor=want) == [want]
+
+    @pytest.mark.parametrize("longest", range(10, 80, 10))
+    def test_cutoff_keeps_scores_at_the_floor(self, longest):
+        # int((1 - 0.9) * longest) is one below the largest distance that
+        # still scores 0.9, so a cutoff taken from it would lose this pair.
+        a = "a" * longest
+        b = "a" * (longest - longest // 10) + "b" * (longest // 10)
+        assert LexicalScorer().score_many([(a, b)], floor=0.9) == [0.9]
 
 
 def _cls(iri, label, synonyms=()):

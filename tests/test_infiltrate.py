@@ -181,9 +181,9 @@ def test_fuzzy_tokenizes_anchors_once_and_skips_far_lengths(monkeypatch):
             tokenized.append(text)
         return label_tokens(text)
 
-    def recording(a, b):
+    def recording(a, b, cutoff=None):
         compared.append((a, b))
-        return levenshtein(a, b)
+        return levenshtein(a, b, cutoff)
 
     for module in (infiltrate_module, ontorag.subsume):
         monkeypatch.setattr(module, "label_tokens", counting)

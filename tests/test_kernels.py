@@ -43,6 +43,19 @@ def test_levenshtein_matches_reference(a, b):
     assert levenshtein(a, b) == levenshtein(b, a)
 
 
+@settings(deadline=None, max_examples=200)
+@given(_texts, _texts, st.data())
+def test_levenshtein_cutoff_contract(a, b, data):
+    cutoff = data.draw(st.integers(0, max(len(a), len(b))))
+    exact = ref_levenshtein(a, b)
+    got = levenshtein(a, b, cutoff)
+    if exact <= cutoff:
+        assert got == exact
+    else:
+        assert got == cutoff + 1
+    assert levenshtein(a, b, None) == exact
+
+
 def _random_store(rng, rows=50, dim=16):
     matrix = np.ascontiguousarray(rng.standard_normal((rows, dim)))
     norms = np.linalg.norm(matrix, axis=1)

@@ -169,9 +169,11 @@ def test_build_dictionary_dedupes_by_best_score(source_onto, target_onto):
 
 
 def test_dictionary_lookup_normalizes(fixture_dictionary):
-    assert fixture_dictionary.lookup("Constipation") == ("acute constipation", "chronic constipation")
-    assert fixture_dictionary.lookup("  chest-pain ") == ("crushing chest pain",)
-    assert fixture_dictionary.lookup("unknown thing") == ()
+    entries = fixture_dictionary.entries
+    assert all(key == normalize_label(key) for key in entries)
+    assert entries[normalize_label("Constipation")] == ("acute constipation", "chronic constipation")
+    assert entries[normalize_label("  chest-pain ")] == ("crushing chest pain",)
+    assert normalize_label("unknown thing") not in entries
 
 
 def test_max_key_word_count_tokenizes_each_anchor_once(monkeypatch):
