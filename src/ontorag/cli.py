@@ -75,14 +75,24 @@ def _load_ontology(path: str):
     return report.ontology
 
 
-def _make_embedder(spec: str, dim: int):
-    if spec == "deterministic":
-        return DeterministicEmbedder(dim=dim)
+def _from_spec(spec: str, offline: str, offline_cls, http_cls, what: str, **kwargs):
+    """The provider named by ``spec``: ``offline``, an http(s) URL, or ``http:`` and a URL.
+
+    ``kwargs`` go to either constructor.
+    """
+    if spec == offline:
+        return offline_cls(**kwargs)
     if spec.startswith(("http://", "https://")):
-        return HttpEmbeddingProvider(spec, dim=dim)
+        return http_cls(spec, **kwargs)
     if spec.startswith("http:"):
-        return HttpEmbeddingProvider(spec[len("http:") :], dim=dim)
-    raise UsageError(f"unknown embedding provider {spec!r}: use 'deterministic' or an http(s) URL")
+        return http_cls(spec[len("http:") :], **kwargs)
+    raise UsageError(f"unknown {what} {spec!r}: use {offline!r} or an http(s) URL")
+
+
+def _make_embedder(spec: str, dim: int):
+    return _from_spec(
+        spec, "deterministic", DeterministicEmbedder, HttpEmbeddingProvider, "embedding provider", dim=dim
+    )
 
 
 def _make_scorer(spec: str, dim: int):
@@ -92,13 +102,7 @@ def _make_scorer(spec: str, dim: int):
 
 
 def _make_llm(spec: str):
-    if spec == "echo":
-        return EchoLlm()
-    if spec.startswith(("http://", "https://")):
-        return HttpLlm(spec)
-    if spec.startswith("http:"):
-        return HttpLlm(spec[len("http:") :])
-    raise UsageError(f"unknown llm {spec!r}: use 'echo' or an http(s) URL")
+    return _from_spec(spec, "echo", EchoLlm, HttpLlm, "llm")
 
 
 def _load_dictionary(path: str) -> SubsumptionDictionary:

@@ -9,14 +9,13 @@ pipeline runnable and measurable offline.
 from __future__ import annotations
 
 import json
-import os
 import sys
 from dataclasses import dataclass
 from typing import IO, Protocol, Sequence
 
 from .errors import DataError, ProviderError
 from .infiltrate import AugmentedPrompt, infiltrate
-from .ragstore import EmbeddingProvider, VectorStore, _now, retrieve
+from .ragstore import EmbeddingProvider, VectorStore, _now, _post_json, retrieve
 from .subsume import SubsumptionDictionary
 
 SYSTEM_PREFIX = "Answer using only the context below.\nContext:\n"
@@ -53,33 +52,13 @@ class HttpLlm:
         self.name = f"http:{url}"
 
     def complete(self, system: str, user: str) -> str:
-        import requests
-
-        headers = {"Content-Type": "application/json"}
-        key = os.environ.get("LLM_API_KEY")
-        if key:
-            headers["Authorization"] = f"Bearer {key}"
+        messages = [{"role": "system", "content": system}, {"role": "user", "content": user}]
+        payload = _post_json(
+            self.url, {"model": self.model, "messages": messages}, "LLM_API_KEY", self.timeout, "completion"
+        )
         try:
-            resp = requests.post(
-                self.url,
-                json={
-                    "model": self.model,
-                    "messages": [
-                        {"role": "system", "content": system},
-                        {"role": "user", "content": user},
-                    ],
-                },
-                headers=headers,
-                timeout=self.timeout,
-            )
-        except requests.RequestException as exc:
-            raise ProviderError(f"completion request to {self.url} failed: {exc}") from exc
-        if resp.status_code != 200:
-            raise ProviderError(f"completion request to {self.url} returned status {resp.status_code}")
-        try:
-            payload = resp.json()
             content = payload["choices"][0]["message"]["content"]
-        except (ValueError, KeyError, IndexError, TypeError) as exc:
+        except (KeyError, IndexError, TypeError) as exc:
             raise ProviderError(f"malformed completion response from {self.url}: {exc}") from exc
         if not isinstance(content, str):
             raise ProviderError(f"completion response from {self.url} has non-text content")

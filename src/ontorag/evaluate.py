@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -31,19 +31,20 @@ MEASURE_EUCLIDEAN = "Euclidean Distance"
 _SUMMARY_HEADER = "table\tmeasure\twith_subsumptions\twithout_subsumptions\trelative_change_pct"
 
 
-def _as_vector(v) -> np.ndarray:
-    arr = np.asarray(v, dtype=np.float64).reshape(-1)
-    if arr.size == 0:
+def _vector_pair(u, v) -> tuple[np.ndarray, np.ndarray]:
+    """Both inputs as flat float64 vectors of one width; anything else is a DataError."""
+    a = np.asarray(u, dtype=np.float64).reshape(-1)
+    b = np.asarray(v, dtype=np.float64).reshape(-1)
+    if a.size == 0 or b.size == 0:
         raise DataError("empty vector")
-    return arr
+    if a.shape != b.shape:
+        raise DataError(f"vector widths differ: {a.shape[0]} vs {b.shape[0]}")
+    return a, b
 
 
 def cosine_similarity(u, v) -> float:
     """Cosine of the angle between two vectors, scaled to a percentage."""
-    a = _as_vector(u)
-    b = _as_vector(v)
-    if a.shape != b.shape:
-        raise DataError(f"vector widths differ: {a.shape[0]} vs {b.shape[0]}")
+    a, b = _vector_pair(u, v)
     na = float(np.linalg.norm(a))
     nb = float(np.linalg.norm(b))
     if na == 0.0 or nb == 0.0:
@@ -52,59 +53,45 @@ def cosine_similarity(u, v) -> float:
 
 
 def dot_product(u, v) -> float:
-    a = _as_vector(u)
-    b = _as_vector(v)
-    if a.shape != b.shape:
-        raise DataError(f"vector widths differ: {a.shape[0]} vs {b.shape[0]}")
+    a, b = _vector_pair(u, v)
     return float(np.dot(a, b))
 
 
 def euclidean_distance(u, v) -> float:
-    a = _as_vector(u)
-    b = _as_vector(v)
-    if a.shape != b.shape:
-        raise DataError(f"vector widths differ: {a.shape[0]} vs {b.shape[0]}")
+    a, b = _vector_pair(u, v)
     return float(np.linalg.norm(a - b))
 
 
-@dataclass(frozen=True)
-class SimilarityReport:
-    """The three measures for one response/reference pair."""
+class SimilarityReport(NamedTuple):
+    """The three measures for one response/reference pair, iterable in that order."""
 
     cosine: float
     dot: float
     euclidean: float
 
 
+_MEASURES = (MEASURE_COSINE, MEASURE_DOT, MEASURE_EUCLIDEAN)  # SimilarityReport's field order
+
+
+def _report(u, v) -> SimilarityReport:
+    return SimilarityReport(cosine_similarity(u, v), dot_product(u, v), euclidean_distance(u, v))
+
+
 def similarity_report(response: str, reference: str, provider: EmbeddingProvider) -> SimilarityReport:
     """Embed both texts with ``provider`` and compare them."""
-    rows = provider.embed([response, reference])
-    u, v = rows[0], rows[1]
-    return SimilarityReport(
-        cosine=cosine_similarity(u, v),
-        dot=dot_product(u, v),
-        euclidean=euclidean_distance(u, v),
-    )
+    return _report(*provider.embed([response, reference]))
 
 
 def hallucination_index(contextual: SimilarityReport, factual: SimilarityReport) -> SimilarityReport:
     """Component-wise mean of the contextual and factual reports."""
-    return SimilarityReport(
-        cosine=(contextual.cosine + factual.cosine) / 2.0,
-        dot=(contextual.dot + factual.dot) / 2.0,
-        euclidean=(contextual.euclidean + factual.euclidean) / 2.0,
-    )
+    return SimilarityReport(*((c + f) / 2.0 for c, f in zip(contextual, factual)))
 
 
 def mean_report(reports: Sequence[SimilarityReport]) -> SimilarityReport:
     if not reports:
         raise DataError("cannot average zero reports")
     n = len(reports)
-    return SimilarityReport(
-        cosine=sum(r.cosine for r in reports) / n,
-        dot=sum(r.dot for r in reports) / n,
-        euclidean=sum(r.euclidean for r in reports) / n,
-    )
+    return SimilarityReport(*(sum(values) / n for values in zip(*reports)))
 
 
 def relative_change(with_value: float, without_value: float) -> float:
@@ -115,11 +102,7 @@ def relative_change(with_value: float, without_value: float) -> float:
 
 
 def _report_change(with_report: SimilarityReport, without_report: SimilarityReport) -> SimilarityReport:
-    return SimilarityReport(
-        cosine=relative_change(with_report.cosine, without_report.cosine),
-        dot=relative_change(with_report.dot, without_report.dot),
-        euclidean=relative_change(with_report.euclidean, without_report.euclidean),
-    )
+    return SimilarityReport(*map(relative_change, with_report, without_report))
 
 
 @dataclass(frozen=True)
@@ -188,36 +171,44 @@ def evaluate_batch(
     """Run every record through the pipeline twice and aggregate.
 
     Contextual similarity always references the original prompt, never the
-    infiltrated one, so the two arms stay comparable.
+    infiltrated one, so the two arms stay comparable. Once every record is
+    answered, each distinct response, prompt and ground truth of the batch is
+    embedded once, in one ``embed`` call.
     """
     if not records:
         raise DataError("cannot evaluate zero records")
-    with_ctx: list[SimilarityReport] = []
-    without_ctx: list[SimilarityReport] = []
-    with_fact: list[SimilarityReport] = []
-    without_fact: list[SimilarityReport] = []
-    augmented_count = 0
-    for record in records:
-        infiltrated = answer(
-            store, provider, llm, record.prompt,
-            dictionary=dictionary, k=k, fuzzy=fuzzy, bare=bare,
+    answered = [
+        (
+            record,
+            answer(store, provider, llm, record.prompt, dictionary=dictionary, k=k, fuzzy=fuzzy, bare=bare),
+            answer(store, provider, llm, record.prompt, dictionary=None, k=k),
         )
-        plain = answer(store, provider, llm, record.prompt, dictionary=None, k=k)
-        if infiltrated.augmented != record.prompt:
-            augmented_count += 1
-        with_ctx.append(similarity_report(infiltrated.response, record.prompt, provider))
-        without_ctx.append(similarity_report(plain.response, record.prompt, provider))
-        with_fact.append(similarity_report(infiltrated.response, record.ground_truth, provider))
-        without_fact.append(similarity_report(plain.response, record.ground_truth, provider))
-    with_contextual = mean_report(with_ctx)
-    without_contextual = mean_report(without_ctx)
-    with_factual = mean_report(with_fact)
-    without_factual = mean_report(without_fact)
+        for record in records
+    ]
+    texts = list(
+        dict.fromkeys(
+            text
+            for record, infiltrated, plain in answered
+            for text in (infiltrated.response, plain.response, record.prompt, record.ground_truth)
+        )
+    )
+    vectors = dict(zip(texts, provider.embed(texts)))
+    # One list of reports per arm: with infiltration, then without.
+    contextual: tuple[list[SimilarityReport], ...] = ([], [])
+    factual: tuple[list[SimilarityReport], ...] = ([], [])
+    for record, *results in answered:
+        prompt, truth = vectors[record.prompt], vectors[record.ground_truth]
+        for arm, result in enumerate(results):
+            response = vectors[result.response]
+            contextual[arm].append(_report(response, prompt))
+            factual[arm].append(_report(response, truth))
+    with_contextual, without_contextual = map(mean_report, contextual)
+    with_factual, without_factual = map(mean_report, factual)
     with_index = hallucination_index(with_contextual, with_factual)
     without_index = hallucination_index(without_contextual, without_factual)
     return EvalSummary(
         n_records=len(records),
-        augmented_count=augmented_count,
+        augmented_count=sum(infiltrated.augmented != record.prompt for record, infiltrated, _ in answered),
         with_contextual=with_contextual,
         without_contextual=without_contextual,
         with_factual=with_factual,
@@ -242,21 +233,7 @@ def render_summary_tsv(summary: EvalSummary) -> str:
         (TABLE_FACTUAL, summary.with_factual, summary.without_factual, summary.factual_change),
         (TABLE_INDEX, summary.with_index, summary.without_index, summary.index_change),
     ]
-    for table, with_r, without_r, change in blocks:
-        for measure, attr in (
-            (MEASURE_COSINE, "cosine"),
-            (MEASURE_DOT, "dot"),
-            (MEASURE_EUCLIDEAN, "euclidean"),
-        ):
-            rows.append(
-                "\t".join(
-                    (
-                        table,
-                        measure,
-                        _fmt(getattr(with_r, attr)),
-                        _fmt(getattr(without_r, attr)),
-                        _fmt(getattr(change, attr)),
-                    )
-                )
-            )
+    for table, *reports in blocks:
+        for measure, values in zip(_MEASURES, zip(*reports)):
+            rows.append("\t".join((table, measure, *map(_fmt, values))))
     return "\n".join(rows) + "\n"

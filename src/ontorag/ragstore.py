@@ -87,6 +87,31 @@ class DeterministicEmbedder:
         return out
 
 
+def _post_json(url: str, body: dict, key_var: str, timeout: float, what: str):
+    """POST ``body`` as JSON to ``url`` and return the decoded JSON reply.
+
+    Sends ``Authorization: Bearer $key_var`` when that variable is set. A failed
+    request, a status other than 200 or a reply that is not JSON is a
+    ProviderError about the ``what`` request.
+    """
+    import requests
+
+    headers = {"Content-Type": "application/json"}
+    key = os.environ.get(key_var)
+    if key:
+        headers["Authorization"] = f"Bearer {key}"
+    try:
+        resp = requests.post(url, json=body, headers=headers, timeout=timeout)
+    except requests.RequestException as exc:
+        raise ProviderError(f"{what} request to {url} failed: {exc}") from exc
+    if resp.status_code != 200:
+        raise ProviderError(f"{what} request to {url} returned status {resp.status_code}")
+    try:
+        return resp.json()
+    except ValueError as exc:
+        raise ProviderError(f"malformed {what} response from {url}: {exc}") from exc
+
+
 class HttpEmbeddingProvider:
     """Embeddings over HTTP: POST {"model", "input"} -> {"data": [{"embedding"}]}.
 
@@ -116,33 +141,13 @@ class HttpEmbeddingProvider:
         self.timeout = timeout
         self.name = f"http:{url}"
 
-    def _headers(self) -> dict[str, str]:
-        headers = {"Content-Type": "application/json"}
-        key = os.environ.get("EMBED_API_KEY")
-        if key:
-            headers["Authorization"] = f"Bearer {key}"
-        return headers
-
     def _embed_batch(self, batch: Sequence[str]) -> list[list[float]]:
-        import requests
-
+        payload = _post_json(
+            self.url, {"model": self.model, "input": list(batch)}, "EMBED_API_KEY", self.timeout, "embedding"
+        )
         try:
-            resp = requests.post(
-                self.url,
-                json={"model": self.model, "input": list(batch)},
-                headers=self._headers(),
-                timeout=self.timeout,
-            )
-        except requests.RequestException as exc:
-            raise ProviderError(f"embedding request to {self.url} failed: {exc}") from exc
-        if resp.status_code != 200:
-            raise ProviderError(
-                f"embedding request to {self.url} returned status {resp.status_code}"
-            )
-        try:
-            payload = resp.json()
             rows = [item["embedding"] for item in payload["data"]]
-        except (ValueError, KeyError, TypeError) as exc:
+        except (KeyError, TypeError) as exc:
             raise ProviderError(f"malformed embedding response from {self.url}: {exc}") from exc
         if len(rows) != len(batch):
             raise ProviderError(
@@ -273,14 +278,10 @@ class VectorStore:
         matrix = np.empty((len(chunks), self.dim), dtype=np.float64)
         matrix[rank[: len(self.chunks)]] = self.matrix
         matrix[rank[len(self.chunks) :]] = vectors
-        # A NaN or infinite value makes a row's norm non-finite, and so does a
-        # finite row whose sum of squares overflows: either would score NaN.
-        norms = np.linalg.norm(matrix, axis=1)
-        finite = np.isfinite(norms[rank[len(self.chunks) :]])
-        if not finite.all():
+        norms, bad = _row_norms(matrix, rank[len(self.chunks) :])
+        if bad is not None:
             raise DataError(
-                f"chunk {new_chunks[int(np.argmin(finite))].id}: embedding has a non-finite value "
-                "or its norm overflows"
+                f"chunk {new_chunks[bad].id}: embedding has a non-finite value or its norm overflows"
             )
         self.chunks = [chunks[i] for i in order]
         self.matrix = matrix
@@ -385,16 +386,27 @@ class VectorStore:
         if rows != len(chunks):
             raise DataError(f"{path}:{header_no}: header says {rows} rows, the file has {len(chunks)}")
         matrix = np.ascontiguousarray(_read_matrix(path + MATRIX_SUFFIX, crc, (rows, store.dim)))
-        norms = np.linalg.norm(matrix, axis=1)
-        finite = np.isfinite(norms)
-        if not finite.all():
-            row_no = int(np.argmin(finite))
+        norms, row_no = _row_norms(matrix)
+        if row_no is not None:
             raise DataError(
                 f"{path}:{lines[row_no + 1][0]}: embedding (row {row_no} of {path}{MATRIX_SUFFIX}) "
                 "has a non-finite value or its norm overflows"
             )
         store.chunks, store.matrix, store.norms = chunks, matrix, norms
         return store
+
+
+def _row_norms(matrix: np.ndarray, rows=slice(None)) -> tuple[np.ndarray, int | None]:
+    """The L2 norm of each row, and the position in ``matrix[rows]`` of the first non-finite one.
+
+    A NaN or infinite value makes a row's norm non-finite, and so does a finite
+    row whose sum of squares overflows: either would score NaN. The caller
+    reports such a row, so numpy's overflow warning is silenced.
+    """
+    with np.errstate(over="ignore"):
+        norms = np.linalg.norm(matrix, axis=1)
+    finite = np.isfinite(norms[rows])
+    return norms, None if finite.all() else int(np.argmin(finite))
 
 
 def _read_matrix(path: str, crc: int, shape: tuple[int, int]) -> np.ndarray:
@@ -430,6 +442,13 @@ def _now() -> int:
     return int(time.time())
 
 
+def _check_provider(store: VectorStore, provider: EmbeddingProvider) -> None:
+    if provider.name != store.provider_name:
+        raise DataError(
+            f"provider {provider.name!r} does not match store provider {store.provider_name!r}"
+        )
+
+
 def ingest(
     store: VectorStore,
     docs: Sequence[tuple[str, str]],
@@ -443,10 +462,7 @@ def ingest(
     one ``embed`` call and into the store in one merge, so the store is
     untouched if anything is wrong.
     """
-    if provider.name != store.provider_name:
-        raise DataError(
-            f"provider {provider.name!r} does not match store provider {store.provider_name!r}"
-        )
+    _check_provider(store, provider)
     if provider.dim != store.dim:
         raise DataError(f"provider dim {provider.dim} != store dim {store.dim}")
     seen: set[str] = set()
@@ -474,9 +490,6 @@ def retrieve(
     k: int = 4,
 ) -> list[tuple[Chunk, float]]:
     """Embed ``query_text`` with ``provider`` and scan the store."""
-    if provider.name != store.provider_name:
-        raise DataError(
-            f"provider {provider.name!r} does not match store provider {store.provider_name!r}"
-        )
+    _check_provider(store, provider)
     query = provider.embed([query_text])[0]
     return store.nearest(query, k)

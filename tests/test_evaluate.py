@@ -155,6 +155,54 @@ def test_evaluate_batch_without_arm_matches_plain_pipeline(handbook_store, embed
     assert summary.without_factual == similarity_report(plain.response, record.ground_truth, embedder)
 
 
+@pytest.mark.parametrize("repeat", [False, True], ids=["distinct-records", "shared-prompt-and-truth"])
+def test_evaluate_batch_embeds_each_distinct_text_once(
+    handbook_store, embedder, fixture_dictionary, monkeypatch, repeat
+):
+    records = [
+        EvalRecord("What should I do about constipation?", "Fluids, fibre, and exercise."),
+        EvalRecord("What helps mild nausea?", "Ginger and small bland meals."),
+    ]
+    if repeat:
+        # a second record with the first one's prompt and ground truth adds no text
+        records.append(EvalRecord(records[0].prompt, records[0].ground_truth))
+    answered = [
+        (
+            record,
+            answer(handbook_store, embedder, EchoLlm(), record.prompt, dictionary=fixture_dictionary, k=2),
+            answer(handbook_store, embedder, EchoLlm(), record.prompt, dictionary=None, k=2),
+        )
+        for record in records
+    ]
+    distinct = {
+        text
+        for record, infiltrated, plain in answered
+        for text in (infiltrated.response, plain.response, record.prompt, record.ground_truth)
+    }
+    calls = []
+    real_embed = embedder.embed
+    monkeypatch.setattr(embedder, "embed", lambda texts: calls.append(list(texts)) or real_embed(texts))
+
+    summary = evaluate_batch(records, handbook_store, embedder, EchoLlm(), fixture_dictionary, k=2)
+
+    # two one-text queries per record from answer(), then one call for the whole batch
+    assert len(calls) == 2 * len(records) + 1
+    assert all(len(texts) == 1 for texts in calls[:-1])
+    batch = calls[-1]
+    assert len(batch) == len(set(batch)) == len(distinct)
+    assert set(batch) == distinct
+    for field, reference, arm in (
+        ("with_contextual", "prompt", 1),
+        ("without_contextual", "prompt", 2),
+        ("with_factual", "ground_truth", 1),
+        ("without_factual", "ground_truth", 2),
+    ):
+        expected = mean_report(
+            [similarity_report(row[arm].response, getattr(row[0], reference), embedder) for row in answered]
+        )
+        assert getattr(summary, field) == expected, field
+
+
 def test_render_summary_tsv(handbook_store, embedder, fixture_dictionary):
     records = [EvalRecord("What helps mild nausea?", "Ginger and small bland meals.")]
     summary = evaluate_batch(records, handbook_store, embedder, EchoLlm(), fixture_dictionary, k=2)

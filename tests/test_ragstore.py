@@ -200,7 +200,6 @@ class TestVectorStore:
         assert len(store) == 0
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1e200], ids=["nan", "inf", "-inf", "overflow"])
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_non_finite_vectors_rejected(self, bad):
         store = _mini_store()
         _add(store, _chunk("d:0", np.ones(8)))
@@ -373,7 +372,6 @@ class TestVectorStore:
             {"drop": "text"},
         ],
     )
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_bad_row_names_its_line(self, tmp_path, bad):
         rows = [{**_ROW, "id": cid} for cid in "abc"]
         rows[1].update(bad.get("row", {}))
