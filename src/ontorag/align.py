@@ -252,11 +252,11 @@ def read_mappings(path: str) -> list[EquivalenceMapping]:
     """Read a mapping TSV in the form :func:`render_mappings` produces."""
     with open(path, "r", encoding="utf-8") as fh:
         raw = fh.read()
-    lines = [line for line in raw.split("\n") if line]
-    if not lines or lines[0] != _HEADER:
+    lines = [(n, line) for n, line in enumerate(raw.split("\n"), start=1) if line]
+    if not lines or lines[0][1] != _HEADER:
         raise DataError(f"{path}: missing mapping header")
     out: list[EquivalenceMapping] = []
-    for lineno, line in enumerate(lines[1:], start=2):
+    for lineno, line in lines[1:]:
         fields = line.split("\t")
         if len(fields) != 4:
             raise DataError(f"{path}:{lineno}: expected 4 tab-separated fields")

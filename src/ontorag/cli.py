@@ -15,7 +15,7 @@ import sys
 import tempfile
 
 from . import __version__
-from .align import EmbeddingScorer, LexicalScorer, align, read_mappings, render_mappings
+from .align import DEFAULT_THRESHOLD, EmbeddingScorer, LexicalScorer, align, read_mappings, render_mappings
 from .engine import EchoLlm, HttpLlm, answer, chat_repl
 from .errors import DataError, OntoRagError, ProviderError, UsageError
 from .evaluate import evaluate_batch, read_records, render_summary_tsv
@@ -25,6 +25,7 @@ from .ragstore import (
     CHUNK_OVERLAP,
     CHUNK_SIZE,
     DEFAULT_DIM,
+    DEFAULT_K,
     DeterministicEmbedder,
     HttpEmbeddingProvider,
     VectorStore,
@@ -75,11 +76,12 @@ def _load_ontology(path: str):
     return report.ontology
 
 
-def _from_spec(spec: str, offline: str, offline_cls, http_cls, what: str, **kwargs):
-    """The provider named by ``spec``: ``offline``, an http(s) URL, or ``http:`` and a URL.
+def _from_spec(spec: str, offline_cls, http_cls, what: str, **kwargs):
+    """The provider named by ``spec``: ``offline_cls.name``, an http(s) URL, or ``http:`` and a URL.
 
     ``kwargs`` go to either constructor.
     """
+    offline = offline_cls.name
     if spec == offline:
         return offline_cls(**kwargs)
     if spec.startswith(("http://", "https://")):
@@ -90,9 +92,7 @@ def _from_spec(spec: str, offline: str, offline_cls, http_cls, what: str, **kwar
 
 
 def _make_embedder(spec: str, dim: int):
-    return _from_spec(
-        spec, "deterministic", DeterministicEmbedder, HttpEmbeddingProvider, "embedding provider", dim=dim
-    )
+    return _from_spec(spec, DeterministicEmbedder, HttpEmbeddingProvider, "embedding provider", dim=dim)
 
 
 def _make_scorer(spec: str, dim: int):
@@ -102,7 +102,7 @@ def _make_scorer(spec: str, dim: int):
 
 
 def _make_llm(spec: str):
-    return _from_spec(spec, "echo", EchoLlm, HttpLlm, "llm")
+    return _from_spec(spec, EchoLlm, HttpLlm, "llm")
 
 
 def _load_dictionary(path: str) -> SubsumptionDictionary:
@@ -293,16 +293,16 @@ def _add_rag_args(sub: argparse.ArgumentParser, with_dict_required: bool = False
     sub.add_argument("--store", required=True, help="store JSONL path (its matrix is PATH.npy)")
     sub.add_argument(
         "--provider",
-        default=os.environ.get("ONTORAG_PROVIDER", "deterministic"),
-        help="embedding provider: 'deterministic' or an http(s) URL",
+        default=os.environ.get("ONTORAG_PROVIDER", DeterministicEmbedder.name),
+        help=f"embedding provider: {DeterministicEmbedder.name!r} or an http(s) URL",
     )
     sub.add_argument(
         "--llm",
-        default=os.environ.get("ONTORAG_LLM", "echo"),
-        help="completion provider: 'echo' or an http(s) URL",
+        default=os.environ.get("ONTORAG_LLM", EchoLlm.name),
+        help=f"completion provider: {EchoLlm.name!r} or an http(s) URL",
     )
     sub.add_argument("--dict", required=with_dict_required, help="subsumption dictionary JSON")
-    sub.add_argument("--k", type=int, default=4, help="chunks to retrieve (default: 4)")
+    sub.add_argument("--k", type=int, default=DEFAULT_K, help=f"chunks to retrieve (default: {DEFAULT_K})")
     sub.add_argument("--fuzzy", action="store_true", help="allow one-edit anchor matches")
     sub.add_argument("--bare", action="store_true", help="append terms without the (related: ...) marker")
 
@@ -316,7 +316,7 @@ def build_parser() -> _Parser:
     p.add_argument("--source", required=True, help="source ontology (.obo or .json)")
     p.add_argument("--target", required=True, help="target ontology (.obo or .json)")
     p.add_argument("--out", required=True, help="mapping TSV to write")
-    p.add_argument("--threshold", type=float, default=0.9, help="acceptance threshold (default: 0.9)")
+    p.add_argument("--threshold", type=float, default=DEFAULT_THRESHOLD, help=f"acceptance threshold (default: {DEFAULT_THRESHOLD})")
     p.add_argument("--no-blocking", action="store_true", help="score every cross pair, skip token blocking")
     _add_scorer_args(p)
     p.set_defaults(func=cmd_align)
@@ -372,8 +372,8 @@ def build_parser() -> _Parser:
     p.add_argument("--doc-id", help="document id (single --doc only; default: file stem)")
     p.add_argument(
         "--provider",
-        default=os.environ.get("ONTORAG_PROVIDER", "deterministic"),
-        help="embedding provider: 'deterministic' or an http(s) URL",
+        default=os.environ.get("ONTORAG_PROVIDER", DeterministicEmbedder.name),
+        help=f"embedding provider: {DeterministicEmbedder.name!r} or an http(s) URL",
     )
     p.add_argument("--dim", type=int, default=DEFAULT_DIM, help=f"embedding width for new stores (default: {DEFAULT_DIM})")
     p.add_argument("--size", type=int, default=CHUNK_SIZE, help=f"chunk size (default: {CHUNK_SIZE})")

@@ -8,19 +8,19 @@ pipeline runnable and measurable offline.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import IO, Protocol, Sequence
 
 from .errors import DataError, ProviderError
 from .infiltrate import AugmentedPrompt, infiltrate
-from .ragstore import EmbeddingProvider, VectorStore, _now, _post_json, retrieve
+from .ragstore import DEFAULT_K, EmbeddingProvider, VectorStore, _now, _post_json, retrieve
 from .subsume import SubsumptionDictionary
 
 SYSTEM_PREFIX = "Answer using only the context below.\nContext:\n"
 USER_PREFIX = "Question: "
-DEFAULT_K = 4
 
 
 class LlmProvider(Protocol):
@@ -139,15 +139,6 @@ class ChatTurn:
     answer: str
     context_texts: tuple[str, ...]
 
-    def to_json_dict(self) -> dict:
-        return {
-            "ts": self.ts,
-            "question": self.question,
-            "augmented": self.augmented,
-            "answer": self.answer,
-            "context_texts": list(self.context_texts),
-        }
-
 
 def chat_repl(
     store: VectorStore,
@@ -169,8 +160,7 @@ def chat_repl(
     the loop goes on with the next line.
     """
     turns: list[ChatTurn] = []
-    log_fh = open(log_path, "a", encoding="utf-8") if log_path else None
-    try:
+    with open(log_path, "a", encoding="utf-8") if log_path else contextlib.nullcontext() as log_fh:
         for line in input_stream:
             question = line.strip()
             if not question:
@@ -196,9 +186,6 @@ def chat_repl(
             output_stream.write(result.response + "\n")
             output_stream.flush()
             if log_fh is not None:
-                log_fh.write(json.dumps(turn.to_json_dict(), ensure_ascii=False) + "\n")
+                log_fh.write(json.dumps(asdict(turn), ensure_ascii=False) + "\n")
                 log_fh.flush()
-    finally:
-        if log_fh is not None:
-            log_fh.close()
     return turns

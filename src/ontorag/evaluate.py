@@ -19,7 +19,7 @@ import numpy as np
 
 from .engine import LlmProvider, answer
 from .errors import DataError
-from .ragstore import EmbeddingProvider, VectorStore
+from .ragstore import DEFAULT_K, EmbeddingProvider, VectorStore
 from .subsume import SubsumptionDictionary
 
 TABLE_CONTEXTUAL = "Contextual Similarity"
@@ -164,7 +164,7 @@ def evaluate_batch(
     provider: EmbeddingProvider,
     llm: LlmProvider,
     dictionary: SubsumptionDictionary,
-    k: int = 4,
+    k: int = DEFAULT_K,
     fuzzy: bool = False,
     bare: bool = False,
 ) -> EvalSummary:

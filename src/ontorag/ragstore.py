@@ -17,7 +17,6 @@ import json
 import math
 import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Protocol, Sequence
 
@@ -30,9 +29,12 @@ from .model import label_tokens
 
 CHUNK_SIZE = 512
 CHUNK_OVERLAP = 64
+# Batches of one HTTP embed call that are posted at once.
+MAX_IN_FLIGHT = 4
 ALIGN_WINDOW = 20
 MIN_DIM = 8
 DEFAULT_DIM = 256
+DEFAULT_K = 4
 _HASH_SEED = 0x9E3779B9
 MATRIX_SUFFIX = ".npy"
 # json.dumps(obj, ensure_ascii=False) builds an encoder per call; this one is
@@ -116,8 +118,8 @@ class HttpEmbeddingProvider:
     """Embeddings over HTTP: POST {"model", "input"} -> {"data": [{"embedding"}]}.
 
     Sends ``Authorization: Bearer $EMBED_API_KEY`` when the variable is set.
-    Batches are dispatched through a small thread pool and reassembled in
-    input order.
+    A call with more than one batch posts up to ``MAX_IN_FLIGHT`` of them at
+    once and reassembles the rows in input order.
     """
 
     def __init__(
@@ -126,7 +128,6 @@ class HttpEmbeddingProvider:
         model: str = "embed-default",
         dim: int = DEFAULT_DIM,
         batch_size: int = 64,
-        max_in_flight: int = 4,
         timeout: float = 30.0,
     ) -> None:
         if dim < MIN_DIM:
@@ -137,7 +138,6 @@ class HttpEmbeddingProvider:
         self.model = model
         self.dim = dim
         self.batch_size = batch_size
-        self.max_in_flight = max(1, int(max_in_flight))
         self.timeout = timeout
         self.name = f"http:{url}"
 
@@ -161,11 +161,13 @@ class HttpEmbeddingProvider:
         batches = [
             texts[i : i + self.batch_size] for i in range(0, len(texts), self.batch_size)
         ]
-        if self.max_in_flight > 1 and len(batches) > 1:
-            with ThreadPoolExecutor(max_workers=self.max_in_flight) as pool:
-                results = list(pool.map(self._embed_batch, batches))
+        if len(batches) == 1:
+            results = [self._embed_batch(batches[0])]
         else:
-            results = [self._embed_batch(b) for b in batches]
+            from concurrent.futures import ThreadPoolExecutor
+
+            with ThreadPoolExecutor(max_workers=MAX_IN_FLIGHT) as pool:
+                results = list(pool.map(self._embed_batch, batches))
         rows = [row for batch_rows in results for row in batch_rows]
         try:
             out = np.asarray(rows, dtype=np.float64)
@@ -487,7 +489,7 @@ def retrieve(
     store: VectorStore,
     query_text: str,
     provider: EmbeddingProvider,
-    k: int = 4,
+    k: int = DEFAULT_K,
 ) -> list[tuple[Chunk, float]]:
     """Embed ``query_text`` with ``provider`` and scan the store."""
     _check_provider(store, provider)

@@ -192,11 +192,11 @@ def read_corpus(path: str) -> list[SubsumptionPair]:
     """Read a labeled corpus in the form :func:`render_corpus` produces."""
     with open(path, "r", encoding="utf-8") as fh:
         raw = fh.read()
-    lines = [line for line in raw.split("\n") if line]
-    if not lines or lines[0] != _CORPUS_HEADER:
+    lines = [(n, line) for n, line in enumerate(raw.split("\n"), start=1) if line]
+    if not lines or lines[0][1] != _CORPUS_HEADER:
         raise DataError(f"{path}: missing corpus header")
     out: list[SubsumptionPair] = []
-    for lineno, line in enumerate(lines[1:], start=2):
+    for lineno, line in lines[1:]:
         fields = line.split("\t")
         if len(fields) != 3:
             raise DataError(f"{path}:{lineno}: expected 3 tab-separated fields")

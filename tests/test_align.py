@@ -210,6 +210,10 @@ def test_read_mappings_rejects_bad_files(tmp_path):
     path.write_text("source_iri\ttarget_iri\tscore\trelation\na\tb\t0.5\tFRIENDS\n", encoding="utf-8")
     with pytest.raises(DataError):
         read_mappings(str(path))
+    # errors name the physical line, blank lines included
+    path.write_text("source_iri\ttarget_iri\tscore\trelation\na\tb\t0.5\tEQUIV\n\n\na\tb\tx\tEQUIV\n", encoding="utf-8")
+    with pytest.raises(DataError, match=r"bad\.tsv:5:"):
+        read_mappings(str(path))
 
 
 class TestEmbeddingScorer:

@@ -352,6 +352,14 @@ def test_version_flag(capsys):
     assert "ontorag" in out + err
 
 
+def test_import_leaves_out_http_machinery(child_pythonpath):
+    # Only HTTP providers need these; offline commands should not pay for them.
+    probe = "import sys, ontorag.cli; print([m for m in ('concurrent.futures', 'requests') if m in sys.modules])"
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "[]"
+
+
 def test_console_script_smoke(workdir, child_pythonpath):
     out = subprocess.run(
         [sys.executable, "-m", "ontorag.cli", "--version"], capture_output=True, text=True

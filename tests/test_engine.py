@@ -165,7 +165,18 @@ def test_chat_repl(handbook_store, embedder, fixture_dictionary, tmp_path, monke
     out = sink.getvalue()
     assert out.count("Answer using only the context below.") == 2
     rows = [json.loads(line) for line in log.read_text(encoding="utf-8").splitlines()]
-    assert rows == [t.to_json_dict() for t in turns]
+    # one row per turn, keys in ChatTurn field order
+    assert [list(row) for row in rows] == [["ts", "question", "augmented", "answer", "context_texts"]] * 2
+    assert rows == [
+        {
+            "ts": t.ts,
+            "question": t.question,
+            "augmented": t.augmented,
+            "answer": t.answer,
+            "context_texts": list(t.context_texts),
+        }
+        for t in turns
+    ]
     # a turn log is self-contained: the retrieved texts travel with it
     assert rows[0]["context_texts"] == list(turns[0].context_texts)
 

@@ -1,5 +1,6 @@
 import io
 import json
+import threading
 import zlib
 
 import numpy as np
@@ -601,20 +602,69 @@ class TestHttpEmbeddingProvider:
 
         monkeypatch.setattr(requests, "post", handler)
 
+    @staticmethod
+    def _length_rows(json):
+        return _FakeResponse(payload={"data": [{"embedding": [float(len(t))] * 8} for t in json["input"]]})
+
     def test_batching_preserves_order(self, monkeypatch):
         calls = []
 
         def fake_post(url, json=None, headers=None, timeout=None):
             calls.append(list(json["input"]))
-            rows = [{"embedding": [float(len(t))] * 8} for t in json["input"]]
-            return _FakeResponse(payload={"data": rows})
+            return self._length_rows(json)
 
         self._patch(monkeypatch, fake_post)
-        provider = HttpEmbeddingProvider("http://api.test/v1", dim=8, batch_size=2, max_in_flight=1)
+        provider = HttpEmbeddingProvider("http://api.test/v1", dim=8, batch_size=2)
         out = provider.embed(["a", "bb", "ccc", "dddd", "eeeee"])
         assert out.shape == (5, 8)
         assert [row[0] for row in out] == [1.0, 2.0, 3.0, 4.0, 5.0]
-        assert calls == [["a", "bb"], ["ccc", "dddd"], ["eeeee"]]
+        # the pool may post the batches in any order
+        assert sorted(calls) == [["a", "bb"], ["ccc", "dddd"], ["eeeee"]]
+
+    def test_batches_are_in_flight_at_once(self, monkeypatch):
+        # Serial posting would leave the first request alone at the barrier.
+        barrier = threading.Barrier(2, timeout=5)
+
+        def fake_post(url, json=None, headers=None, timeout=None):
+            barrier.wait()
+            return self._length_rows(json)
+
+        self._patch(monkeypatch, fake_post)
+        out = HttpEmbeddingProvider("http://api.test/v1", dim=8, batch_size=1).embed(["a", "bb"])
+        assert [row[0] for row in out] == [1.0, 2.0]
+
+    def test_pool_only_for_several_batches(self, monkeypatch):
+        import concurrent.futures
+
+        pools, threads = [], []
+        make_pool = concurrent.futures.ThreadPoolExecutor
+
+        def recording_pool(max_workers):
+            pools.append(max_workers)
+            return make_pool(max_workers)
+
+        def fake_post(url, json=None, headers=None, timeout=None):
+            threads.append(threading.get_ident())
+            return self._length_rows(json)
+
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", recording_pool)
+        self._patch(monkeypatch, fake_post)
+        provider = HttpEmbeddingProvider("http://api.test/v1", dim=8, batch_size=2)
+        provider.embed(["a", "bb"])
+        assert pools == [] and threads == [threading.get_ident()]
+        provider.embed(["a", "bb", "ccc"])
+        assert pools == [ragstore.MAX_IN_FLIGHT]
+
+    def test_one_failing_batch_fails_the_call(self, monkeypatch):
+        def fake_post(url, json=None, headers=None, timeout=None):
+            if "bad" in json["input"]:
+                return _FakeResponse(status_code=500)
+            return self._length_rows(json)
+
+        self._patch(monkeypatch, fake_post)
+        provider = HttpEmbeddingProvider("http://api.test/v1", dim=8, batch_size=2)
+        with pytest.raises(ProviderError, match="returned status 500"):
+            provider.embed(["a", "bb", "ccc", "bad", "eeeee"])
 
     def test_sends_bearer_token(self, monkeypatch):
         seen = {}

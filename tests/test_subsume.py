@@ -229,6 +229,10 @@ def test_read_corpus_rejects_bad_files(tmp_path):
     path.write_text("concept_iri\tcandidate_iri\tlabel\na\tb\n", encoding="utf-8")
     with pytest.raises(DataError):
         read_corpus(str(path))
+    # errors name the physical line, blank lines included
+    path.write_text("concept_iri\tcandidate_iri\tlabel\n\n\na\tb\t2\n", encoding="utf-8")
+    with pytest.raises(DataError, match=r"bad\.tsv:4:"):
+        read_corpus(str(path))
 
 
 def test_predict_scores_in_one_batch(source_onto, target_onto, fixture_mappings):
