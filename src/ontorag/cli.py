@@ -353,8 +353,9 @@ def build_parser() -> _Parser:
 
     p = subs.add_parser("infiltrate", help="augment prompts with narrower terms")
     p.add_argument("--dict", required=True, help="dictionary JSON from 'dict'")
-    p.add_argument("--prompt", help="single prompt (default: read lines from stdin)")
-    p.add_argument("--in", dest="infile", help="read prompts, one per line")
+    prompts = p.add_mutually_exclusive_group()
+    prompts.add_argument("--prompt", help="single prompt (default: read lines from stdin)")
+    prompts.add_argument("--in", dest="infile", help="read prompts, one per line")
     p.add_argument("--out", help="write augmented prompts here instead of stdout")
     p.add_argument("--fuzzy", action="store_true", help="allow one-edit anchor matches")
     p.add_argument("--bare", action="store_true", help="append terms without the (related: ...) marker")

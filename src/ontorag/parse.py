@@ -36,9 +36,9 @@ def obo_id_to_iri(obo_id: str) -> str:
     return OBO_PURL_PREFIX + obo_id.replace(":", "_", 1)
 
 
-def _strip_obo_comment(value: str) -> str:
-    """Drop a trailing ``! comment`` from a tag value."""
-    return value.split("!", 1)[0].strip()
+def _obo_id_value(value: str) -> str:
+    """The id in a tag value, without OBO 1.4 trailing ``{modifiers}`` or ``! comment``."""
+    return value.split("!", 1)[0].split("{", 1)[0].strip()
 
 
 def _synonym_text(value: str) -> str | None:
@@ -100,13 +100,13 @@ def parse_obo(text: str) -> ParseReport:
         if current is None:
             continue
         if tag == "id":
-            ident = _strip_obo_comment(value)
+            ident = _obo_id_value(value)
             if ident and " " not in ident:
                 current.id = ident
         elif tag == "name":
             current.name = value
         elif tag == "is_a":
-            parent = _strip_obo_comment(value)
+            parent = _obo_id_value(value)
             if parent:
                 current.parents.append(parent)
         elif tag == "synonym":

@@ -302,8 +302,10 @@ class VectorStore:
         q = np.ascontiguousarray(np.asarray(query, dtype=np.float64).reshape(-1))
         if q.shape[0] != self.dim:
             raise DataError(f"query width {q.shape[0]} != store dim {self.dim}")
-        # The same bits as np.linalg.norm, whose 1-D form is sqrt(q.dot(q)).
-        qnorm = math.sqrt(q.dot(q))
+        # The same bits as np.linalg.norm, whose 1-D form is sqrt(q.dot(q)). An
+        # overflow is reported below, so numpy's warning is silenced.
+        with np.errstate(over="ignore"):
+            qnorm = math.sqrt(q.dot(q))
         if not math.isfinite(qnorm):
             raise DataError("query embedding has a non-finite value or its norm overflows")
         if qnorm == 0.0:

@@ -4,7 +4,7 @@ For an accepted mapping (c1, c2), every class below c2 in the target
 hierarchy is a labeled positive "c1 subsumes d" example. Negatives are drawn
 uniformly from the target ontology with a seeded RNG. A scorer then filters
 the corpus, and the surviving pairs become a lookup dictionary from a
-normalized concept label to the display labels of its accepted narrower
+concept label's word tokens to the display labels of its accepted narrower
 terms.
 """
 
@@ -19,7 +19,7 @@ from typing import Iterable, Sequence
 
 from .align import EQUIV, SUBSUMED_BY, EquivalenceMapping, SynonymyScorer
 from .errors import DataError
-from .model import ClassIri, Ontology, label_tokens, normalize_label, subclass_closure
+from .model import ClassIri, Ontology, label_tokens, subclass_closure
 
 DEFAULT_SUBSUME_THRESHOLD = 0.5
 DEFAULT_MAX_PER_ANCHOR = 3
@@ -108,7 +108,7 @@ def predict_subsumptions(
 
 @dataclass(frozen=True)
 class SubsumptionDictionary:
-    """Normalized concept label -> narrower display labels, best first.
+    """Concept label tokens (space-joined) -> narrower display labels, best first.
 
     ``entries`` is read-only after construction: values derived from it,
     such as ``anchors_by_word_count``, are computed once and cached.
@@ -158,7 +158,8 @@ def build_dictionary(
 ) -> SubsumptionDictionary:
     """Fold accepted subsumptions into a lookup dictionary.
 
-    The anchor is the normalized display label of the broader concept. Each
+    The anchor is the broader concept's display label as infiltration reads a
+    prompt: its lowercase alphanumeric tokens joined by single spaces. Each
     anchor keeps at most ``max_per_anchor`` candidate labels, ordered by
     descending score then label; duplicate labels keep their best score.
     """
@@ -166,7 +167,7 @@ def build_dictionary(
         raise DataError("max_per_anchor must be >= 1")
     buckets: dict[str, dict[str, float]] = {}
     for m in accepted:
-        anchor = normalize_label(source.get(m.source).display_label)
+        anchor = " ".join(label_tokens(source.get(m.source).display_label))
         if not anchor:
             continue
         display = target.get(m.target).display_label

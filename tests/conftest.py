@@ -1,10 +1,9 @@
-import importlib
 import os
 from pathlib import Path
 
 import pytest
 
-import ontorag
+import ontorag.align
 from ontorag.align import LexicalScorer, align
 from ontorag.fixtures import fixture_text
 from ontorag.parse import parse_json_ontology, parse_obo
@@ -37,16 +36,14 @@ def fixture_dictionary(source_onto, target_onto, fixture_mappings):
 @pytest.fixture()
 def levenshtein_calls(monkeypatch):
     """Every (a, b) the align module passes to Levenshtein, in call order."""
-    # `ontorag.align` is the re-exported function; look the module up by name.
-    module = importlib.import_module("ontorag.align")
-    real = module.levenshtein
+    real = ontorag.align.levenshtein
     calls = []
 
     def counting(a, b, cutoff=None):
         calls.append((a, b))
         return real(a, b, cutoff)
 
-    monkeypatch.setattr(module, "levenshtein", counting)
+    monkeypatch.setattr(ontorag.align, "levenshtein", counting)
     return calls
 
 

@@ -1,5 +1,4 @@
 import hashlib
-import importlib
 import io
 import json
 import subprocess
@@ -7,6 +6,7 @@ import sys
 
 import pytest
 
+import ontorag.ragstore
 from ontorag.cli import main
 from ontorag.fixtures import export_fixtures
 from ontorag.subsume import SubsumptionDictionary
@@ -133,11 +133,9 @@ def test_three_document_store_is_pinned(capsys, workdir):
 
 def _count_calls(monkeypatch, *targets):
     """Count calls of each ``(class, method)`` in the ragstore module."""
-    # look the module up by name, as the package re-exports some functions under module names
-    ragstore = importlib.import_module("ontorag.ragstore")
     calls = {}
     for cls, name in targets:
-        owner = getattr(ragstore, cls)
+        owner = getattr(ontorag.ragstore, cls)
         real = getattr(owner, name)
         key = f"{cls}.{name}"
         calls[key] = 0
@@ -246,6 +244,16 @@ class TestExitCodes:
             "--doc", "questions.jsonl", "--doc-id", "x",
         )
         assert code == 1
+
+    def test_prompt_with_infile_is_usage_error(self, capsys, workdir):
+        (workdir / "prompts.txt").write_text("What helps a cough?\n", encoding="utf-8")
+        code, out, err = run(
+            capsys, "infiltrate", "--dict", "absent.json",
+            "--prompt", "What helps mild nausea?", "--in", "prompts.txt",
+        )
+        assert code == 1
+        assert "usage error" in err and "--in" in err
+        assert out == ""
 
     def test_corrupt_store_is_data_error(self, capsys, workdir):
         (workdir / "broken.jsonl").write_text("{oops\n", encoding="utf-8")

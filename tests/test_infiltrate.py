@@ -1,17 +1,14 @@
-import importlib
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ontorag.infiltrate
 import ontorag.subsume
 from ontorag._kernels import levenshtein
 from ontorag.infiltrate import AugmentedPrompt, infiltrate, strip_suffix
 from ontorag.model import label_tokens
 from ontorag.subsume import SubsumptionDictionary
 
-# The package re-exports the function `infiltrate` under the module's name.
-infiltrate_module = importlib.import_module("ontorag.infiltrate")
 EMPTY = SubsumptionDictionary(entries={})
 
 
@@ -185,9 +182,9 @@ def test_fuzzy_tokenizes_anchors_once_and_skips_far_lengths(monkeypatch):
         compared.append((a, b))
         return levenshtein(a, b, cutoff)
 
-    for module in (infiltrate_module, ontorag.subsume):
+    for module in (ontorag.infiltrate, ontorag.subsume):
         monkeypatch.setattr(module, "label_tokens", counting)
-    monkeypatch.setattr(infiltrate_module, "levenshtein", recording)
+    monkeypatch.setattr(ontorag.infiltrate, "levenshtein", recording)
     for prompt in ("my cast", "chest pian today", "a catastrophe of cats"):
         infiltrate(prompt, d, fuzzy=True)
     assert sorted(tokenized) == sorted(d.entries)

@@ -2,6 +2,7 @@ import pytest
 
 from ontorag.errors import ParseError
 from ontorag.fixtures import fixture_text
+from ontorag.model import subclass_closure
 from ontorag.parse import (
     obo_id_to_iri,
     parse_json_ontology,
@@ -81,6 +82,24 @@ name: one again
     assert cls.parents == frozenset()
     total_lines = text.count("\n") + 1
     assert all(1 <= lineno <= total_lines for lineno, _ in report.warnings)
+
+
+def test_parse_obo_trailing_modifiers():
+    # OBO 1.4 allows a {modifier} block before the comment; it is not part of the id.
+    text = """ontology: m
+
+[Term]
+id: X:1
+name: pain
+
+[Term]
+id: X:2 {source="manual"}
+name: chronic pain
+is_a: X:1 {is_inferred="true"} ! pain
+"""
+    report = parse_obo(text)
+    assert report.warnings == []
+    assert subclass_closure(report.ontology, obo_id_to_iri("X:1")) == {obo_id_to_iri("X:2")}
 
 
 def test_parse_obo_empty_is_error():

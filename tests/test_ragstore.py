@@ -273,7 +273,6 @@ class TestVectorStore:
     @pytest.mark.parametrize(
         "bad", [np.nan, np.inf, -np.inf, 1e200], ids=["nan", "inf", "-inf", "norm-overflow"]
     )
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     def test_non_finite_query_is_data_error(self, bad):
         store = _mini_store()
         _add(store, _chunk("d:0", np.ones(8)), _chunk("d:1", np.eye(8)[0]))

@@ -4,7 +4,7 @@ import ontorag.subsume
 from ontorag.align import EquivalenceMapping, LexicalScorer, lexical_score
 from ontorag.errors import DataError, UnknownClassError
 from ontorag.infiltrate import infiltrate
-from ontorag.model import label_tokens, normalize_label
+from ontorag.model import Ontology, OntologyClass, label_tokens, normalize_label
 from ontorag.subsume import (
     SubsumptionDictionary,
     SubsumptionPair,
@@ -174,6 +174,20 @@ def test_dictionary_lookup_normalizes(fixture_dictionary):
     assert entries[normalize_label("Constipation")] == ("acute constipation", "chronic constipation")
     assert entries[normalize_label("  chest-pain ")] == ("crushing chest pain",)
     assert normalize_label("unknown thing") not in entries
+
+
+@pytest.mark.parametrize(
+    "label, prompt",
+    [("Crohn's disease", "What is Crohn's disease?"), ("pain, chronic", "Is pain, chronic, treatable?")],
+)
+def test_anchor_with_punctuation_matches_exactly(label, prompt):
+    # Anchors take the token form infiltration looks up, so no fuzzy edit is spent.
+    source = Ontology(id="s", classes={"s:1": OntologyClass(iri="s:1", label=label)})
+    target = Ontology(id="t", classes={"t:1": OntologyClass(iri="t:1", label="ileitis")})
+    accepted = [EquivalenceMapping("s:1", "t:1", 0.8, relation="SUBSUMED_BY")]
+    d = build_dictionary(accepted, source, target)
+    assert list(d.entries) == [" ".join(label_tokens(label))]
+    assert infiltrate(prompt, d, fuzzy=False).augmented == f"{prompt} (related: ileitis)"
 
 
 def test_max_key_word_count_tokenizes_each_anchor_once(monkeypatch):
