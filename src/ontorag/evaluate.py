@@ -135,7 +135,10 @@ def read_records(path: str) -> list[EvalRecord]:
             row.get("ground_truth"), str
         ):
             raise DataError(f'{path}:{lineno}: record needs string "prompt" and "ground_truth"')
-        records.append(EvalRecord(prompt=row["prompt"], ground_truth=row["ground_truth"]))
+        try:
+            records.append(EvalRecord(prompt=row["prompt"], ground_truth=row["ground_truth"]))
+        except DataError as exc:
+            raise DataError(f"{path}:{lineno}: {exc}") from None
     if not records:
         raise DataError(f"{path}: no records")
     return records

@@ -10,6 +10,7 @@ by :func:`serialize_ontology`.
 from __future__ import annotations
 
 import json
+import re
 from dataclasses import dataclass, field
 
 from .errors import ParseError
@@ -36,9 +37,17 @@ def obo_id_to_iri(obo_id: str) -> str:
     return OBO_PURL_PREFIX + obo_id.replace(":", "_", 1)
 
 
-def _obo_id_value(value: str) -> str:
-    """The id in a tag value, without OBO 1.4 trailing ``{modifiers}`` or ``! comment``."""
-    return value.split("!", 1)[0].split("{", 1)[0].strip()
+# A tag value up to its first unescaped "!" or "{"; a backslash escapes one
+# character. The leading class takes a value with neither in one scan.
+_OBO_VALUE_RE = re.compile(r"[^\\!{]*(?:\\.?[^\\!{]*)*")
+
+
+def _obo_value(value: str) -> str:
+    """A stripped tag value without OBO 1.4 trailing ``{modifiers}`` or ``! comment``.
+
+    An escaped ``\\!`` or ``\\{`` is part of the value and stays as written.
+    """
+    return _OBO_VALUE_RE.match(value).group().rstrip()
 
 
 def _synonym_text(value: str) -> str | None:
@@ -100,13 +109,13 @@ def parse_obo(text: str) -> ParseReport:
         if current is None:
             continue
         if tag == "id":
-            ident = _obo_id_value(value)
+            ident = _obo_value(value)
             if ident and " " not in ident:
                 current.id = ident
         elif tag == "name":
-            current.name = value
+            current.name = _obo_value(value)
         elif tag == "is_a":
-            parent = _obo_id_value(value)
+            parent = _obo_value(value)
             if parent:
                 current.parents.append(parent)
         elif tag == "synonym":
@@ -146,8 +155,10 @@ def parse_json_ontology(text: str) -> ParseReport:
     """Parse the JSON interchange form.
 
     Expected shape: ``{"id": str, "classes": [{"iri", "label",
-    "synonyms", "parents"}, ...]}`` where `synonyms` and `parents`
-    default to empty. Duplicate IRIs keep the last entry and add a warning.
+    "synonyms", "parents"}, ...]}``: `label` is a string and `synonyms` and
+    `parents` are lists of strings, all three empty when absent. Any other
+    type is a :class:`ParseError`. Duplicate IRIs keep the last entry and add
+    a warning.
     """
     try:
         doc = json.loads(text)
@@ -161,12 +172,22 @@ def parse_json_ontology(text: str) -> ParseReport:
 
     warnings: list[tuple[int, str]] = []
     classes: dict[str, OntologyClass] = {}
-    for entry in entries:
+    for index, entry in enumerate(entries):
         if not isinstance(entry, dict) or not isinstance(entry.get("iri"), str) or not entry["iri"]:
-            raise ParseError(f'class entry without "iri": {entry!r}')
+            raise ParseError(f'class entry {index} without "iri": {entry!r}')
         iri = entry["iri"]
-        synonyms = {s for s in entry.get("synonyms", []) if s}
-        parents = {p for p in entry.get("parents", [])}
+        label, synonyms, parents = entry.get("label", ""), entry.get("synonyms", []), entry.get("parents", [])
+        if not (
+            isinstance(label, str)
+            and isinstance(synonyms, list)
+            and isinstance(parents, list)
+            and all(isinstance(v, str) for v in synonyms + parents)
+        ):
+            raise ParseError(
+                f'class {iri}: "label" must be a string, "synonyms" and "parents" lists of strings'
+            )
+        synonyms = {s for s in synonyms if s}
+        parents = set(parents)
         if iri in parents:
             warnings.append((1, f"self is_a on {iri} dropped"))
             parents.discard(iri)
@@ -174,7 +195,7 @@ def parse_json_ontology(text: str) -> ParseReport:
             warnings.append((1, f"duplicate iri {iri}: previous class replaced"))
         classes[iri] = OntologyClass(
             iri=iri,
-            label=entry.get("label", "") or "",
+            label=label,
             synonyms=frozenset(synonyms),
             parents=frozenset(parents),
         )

@@ -92,24 +92,34 @@ class DeterministicEmbedder:
 def _post_json(url: str, body: dict, key_var: str, timeout: float, what: str):
     """POST ``body`` as JSON to ``url`` and return the decoded JSON reply.
 
-    Sends ``Authorization: Bearer $key_var`` when that variable is set. A failed
-    request, a status other than 200 or a reply that is not JSON is a
-    ProviderError about the ``what`` request.
+    Sends ``Authorization: Bearer $key_var`` when that variable is set. A URL
+    that is not http(s), a failed request, a status other than 200 or a reply
+    that is not JSON is a ProviderError about the ``what`` request.
     """
-    import requests
+    import http.client
+    import urllib.error
+    import urllib.request
 
     headers = {"Content-Type": "application/json"}
     key = os.environ.get(key_var)
     if key:
         headers["Authorization"] = f"Bearer {key}"
     try:
-        resp = requests.post(url, json=body, headers=headers, timeout=timeout)
-    except requests.RequestException as exc:
+        # Request() raises ValueError on a URL it cannot parse.
+        request = urllib.request.Request(url, json.dumps(body).encode("utf-8"), headers)
+        if request.type not in ("http", "https"):
+            raise ValueError(f"unsupported URL scheme {request.type!r}")
+        with urllib.request.urlopen(request, timeout=timeout) as resp:
+            status, raw = resp.status, resp.read()
+    except urllib.error.HTTPError as exc:
+        exc.close()
+        raise ProviderError(f"{what} request to {url} returned status {exc.code}") from exc
+    except (OSError, http.client.HTTPException, ValueError) as exc:
         raise ProviderError(f"{what} request to {url} failed: {exc}") from exc
-    if resp.status_code != 200:
-        raise ProviderError(f"{what} request to {url} returned status {resp.status_code}")
+    if status != 200:
+        raise ProviderError(f"{what} request to {url} returned status {status}")
     try:
-        return resp.json()
+        return json.loads(raw)
     except ValueError as exc:
         raise ProviderError(f"malformed {what} response from {url}: {exc}") from exc
 

@@ -225,6 +225,16 @@ class TestExitCodes:
         assert code == 2
         assert "absent.obo" in err
 
+    def test_mistyped_json_ontology_is_data_error(self, capsys, workdir):
+        doc = {"id": "x", "classes": [{"iri": "http://x/A", "label": 5}]}
+        (workdir / "bad.json").write_text(json.dumps(doc), encoding="utf-8")
+        code, _, err = run(
+            capsys, "align", "--source", "symptoms.obo", "--target", "bad.json", "--out", "x.tsv",
+        )
+        assert code == 2
+        assert 'class http://x/A: "label" must be a string' in err
+        assert "Traceback" not in err
+
     def test_bad_flag_is_usage_error(self, capsys, workdir):
         code, _, err = run(capsys, "align", "--nonsense")
         assert code == 1
@@ -271,60 +281,40 @@ class TestExitCodes:
         assert code == 2
         assert "error: store.jsonl.npy: " in err
 
-    def test_provider_failure_maps_to_3(self, capsys, workdir, monkeypatch):
+    def test_provider_failure_maps_to_3(self, capsys, workdir, refused_url):
         _build_pipeline(capsys, workdir)
-        import requests
-
-        def refuse(*a, **k):
-            raise requests.ConnectionError("refused")
-
-        monkeypatch.setattr(requests, "post", refuse)
         code, _, err = run(
             capsys, "ask", "--store", "store.jsonl", "--question", "q",
-            "--llm", "http://llm.invalid/v1",
+            "--llm", refused_url,
         )
         assert code == 3
         assert "provider error" in err
+        assert f"completion request to {refused_url} failed" in err
 
-    def test_malformed_embeddings_map_to_3(self, capsys, workdir, monkeypatch):
-        import requests
+    def test_malformed_embeddings_map_to_3(self, capsys, workdir, http_stub):
+        def ragged(seen):
+            rows = [[0.0] * 256] * (len(seen.body["input"]) - 1) + [[0.0] * 7]
+            return 200, {"data": [{"embedding": row} for row in rows]}
 
-        class Ragged:
-            status_code = 200
-
-            def __init__(self, n):
-                self.rows = [[0.0] * 256] * (n - 1) + [[0.0] * 7]
-
-            def json(self):
-                return {"data": [{"embedding": row} for row in self.rows]}
-
-        monkeypatch.setattr(requests, "post", lambda url, json=None, **k: Ragged(len(json["input"])))
+        http_stub.reply = ragged
         code, _, err = run(
             capsys, "ingest", "--store", "s.jsonl", "--doc", "handbook.txt",
-            "--provider", "http://embed.invalid/v1",
+            "--provider", http_stub.url,
         )
         assert code == 3
-        assert "malformed embedding response from http://embed.invalid/v1" in err
+        assert f"malformed embedding response from {http_stub.url}" in err
 
-    def test_non_finite_embeddings_map_to_3(self, capsys, workdir, monkeypatch):
-        import requests
-
-        class WithNaN:
-            status_code = 200
-
-            def __init__(self, n):
-                self.text = json.dumps({"data": [{"embedding": [0.5] * 255 + [float("nan")]}] * n})
-
-            def json(self):
-                return json.loads(self.text)  # json reads the NaN token back as a float
-
-        monkeypatch.setattr(requests, "post", lambda url, json=None, **k: WithNaN(len(json["input"])))
+    def test_non_finite_embeddings_map_to_3(self, capsys, workdir, http_stub):
+        # json writes the NaN token, which the client reads back as a float
+        http_stub.reply = lambda seen: (
+            200, {"data": [{"embedding": [0.5] * 255 + [float("nan")]}] * len(seen.body["input"])}
+        )
         code, _, err = run(
             capsys, "ingest", "--store", "s.jsonl", "--doc", "handbook.txt",
-            "--provider", "http://embed.invalid/v1",
+            "--provider", http_stub.url,
         )
         assert code == 3
-        assert "malformed embedding response from http://embed.invalid/v1: row 0" in err
+        assert f"malformed embedding response from {http_stub.url}: row 0" in err
         assert not (workdir / "s.jsonl").exists()
 
     def test_no_command_prints_help(self, capsys, workdir):
@@ -332,11 +322,11 @@ class TestExitCodes:
         assert code == 1
         assert "command" in err
 
-    def test_mismatched_store_provider_is_data_error(self, capsys, workdir):
+    def test_mismatched_store_provider_is_data_error(self, capsys, workdir, refused_url):
         _build_pipeline(capsys, workdir)
         code, _, err = run(
             capsys, "ask", "--store", "store.jsonl", "--question", "q",
-            "--provider", "http://embed.invalid/v1",
+            "--provider", refused_url,
         )
         assert code == 2
         assert "provider" in err
@@ -362,10 +352,27 @@ def test_version_flag(capsys):
 
 def test_import_leaves_out_http_machinery(child_pythonpath):
     # Only HTTP providers need these; offline commands should not pay for them.
-    probe = "import sys, ontorag.cli; print([m for m in ('concurrent.futures', 'requests') if m in sys.modules])"
+    modules = ("concurrent.futures", "requests", "urllib.request", "http.client")
+    probe = f"import sys, ontorag.cli; print([m for m in {modules!r} if m in sys.modules])"
     out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == "[]"
+
+
+def test_http_provider_runs_without_requests(http_stub, child_pythonpath):
+    # None in sys.modules makes any import of requests raise ImportError.
+    probe = (
+        "import sys; sys.modules['requests'] = None\n"
+        "from ontorag.ragstore import HttpEmbeddingProvider\n"
+        "print(HttpEmbeddingProvider(sys.argv[1], dim=8).embed(['a', 'bb']).tolist())"
+    )
+    http_stub.reply = lambda seen: (
+        200, {"data": [{"embedding": [float(len(t))] * 8} for t in seen.body["input"]]}
+    )
+    out = subprocess.run([sys.executable, "-c", probe, http_stub.url], capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert json.loads(out.stdout) == [[1.0] * 8, [2.0] * 8]
+    assert [seen.body["input"] for seen in http_stub.received] == [["a", "bb"]]
 
 
 def test_console_script_smoke(workdir, child_pythonpath):

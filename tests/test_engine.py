@@ -1,5 +1,6 @@
 import io
 import json
+import re
 
 import pytest
 
@@ -87,66 +88,41 @@ def test_answer_stage_errors(handbook_store, embedder):
     assert "complete stage" in str(err.value)
 
 
-class _FakeResponse:
-    def __init__(self, status_code=200, payload=None):
-        self.status_code = status_code
-        self._payload = payload
-
-    def json(self):
-        if self._payload is None:
-            raise ValueError("empty")
-        return self._payload
-
-
 class TestHttpLlm:
-    def test_success_and_request_shape(self, monkeypatch):
-        seen = {}
-
-        def fake_post(url, json=None, headers=None, timeout=None):
-            seen["url"] = url
-            seen["body"] = json
-            seen["headers"] = headers
-            return _FakeResponse(payload={"choices": [{"message": {"content": "hi"}}]})
-
-        import requests
-
-        monkeypatch.setattr(requests, "post", fake_post)
+    def test_success_and_request_shape(self, http_stub, monkeypatch):
+        http_stub.reply = lambda seen: (200, {"choices": [{"message": {"content": "hi"}}]})
         monkeypatch.setenv("LLM_API_KEY", "topsecret")
-        llm = HttpLlm("http://llm.test/v1/chat", model="m1")
+        url = http_stub.url + "/chat"
+        llm = HttpLlm(url, model="m1")
         assert llm.complete("sys", "usr") == "hi"
-        assert seen["url"] == "http://llm.test/v1/chat"
-        assert seen["body"]["model"] == "m1"
-        assert seen["body"]["messages"][0] == {"role": "system", "content": "sys"}
-        assert seen["body"]["messages"][1] == {"role": "user", "content": "usr"}
-        assert seen["headers"]["Authorization"] == "Bearer topsecret"
+        [seen] = http_stub.received
+        assert seen.path == "/v1/chat"
+        assert seen.headers["Content-Type"] == "application/json"
+        assert seen.body["model"] == "m1"
+        assert seen.body["messages"][0] == {"role": "system", "content": "sys"}
+        assert seen.body["messages"][1] == {"role": "user", "content": "usr"}
+        assert seen.headers["Authorization"] == "Bearer topsecret"
 
-    def test_error_paths(self, monkeypatch):
-        import requests
+    def test_error_paths(self, http_stub, monkeypatch):
+        url = http_stub.url
+        llm = HttpLlm(url)
 
-        llm = HttpLlm("http://llm.test/v1/chat")
-
-        monkeypatch.setattr(requests, "post", lambda *a, **k: _FakeResponse(status_code=429))
-        with pytest.raises(ProviderError):
+        http_stub.reply = lambda seen: (429, {"error": "slow down"})
+        with pytest.raises(ProviderError, match=f"completion request to {re.escape(url)} returned status 429"):
             llm.complete("s", "u")
 
-        monkeypatch.setattr(requests, "post", lambda *a, **k: _FakeResponse(payload={"choices": []}))
-        with pytest.raises(ProviderError):
+        http_stub.reply = lambda seen: (200, {"choices": []})
+        with pytest.raises(ProviderError, match="malformed completion response"):
             llm.complete("s", "u")
 
-        monkeypatch.setattr(
-            requests,
-            "post",
-            lambda *a, **k: _FakeResponse(payload={"choices": [{"message": {"content": 7}}]}),
-        )
-        with pytest.raises(ProviderError):
+        http_stub.reply = lambda seen: (200, {"choices": [{"message": {"content": 7}}]})
+        with pytest.raises(ProviderError, match="non-text content"):
             llm.complete("s", "u")
 
-        def boom(*a, **k):
-            raise requests.Timeout("slow")
-
-        monkeypatch.setattr(requests, "post", boom)
-        with pytest.raises(ProviderError):
-            llm.complete("s", "u")
+        # The reply waits until teardown, long after the client gave up.
+        http_stub.reply = lambda seen: http_stub.hold.wait() and (200, {})
+        with pytest.raises(ProviderError, match=f"completion request to {re.escape(url)} failed: .*timed out"):
+            HttpLlm(url, timeout=0.2).complete("s", "u")
 
 
 def test_chat_repl(handbook_store, embedder, fixture_dictionary, tmp_path, monkeypatch):

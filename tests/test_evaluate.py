@@ -1,4 +1,6 @@
+import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -113,6 +115,12 @@ def test_read_records_validation(tmp_path):
     path.write_text('{"prompt": "p", "ground_truth": 3}\n', encoding="utf-8")
     with pytest.raises(DataError):
         read_records(str(path))
+    row = {"prompt": "p", "ground_truth": "g"}
+    for field in ("prompt", "ground_truth"):
+        blank = dict(row, **{field: " \t"})
+        path.write_text(f"{json.dumps(row)}\n\n{json.dumps(blank)}\n", encoding="utf-8")
+        with pytest.raises(DataError, match=f"^{re.escape(str(path))}:3: record {field} must be non-empty$"):
+            read_records(str(path))
 
 
 def test_evaluate_batch_structure(handbook_store, embedder, fixture_dictionary):

@@ -1,3 +1,5 @@
+import json
+
 import pytest
 
 from ontorag.errors import ParseError
@@ -102,6 +104,21 @@ is_a: X:1 {is_inferred="true"} ! pain
     assert subclass_closure(report.ontology, obo_id_to_iri("X:1")) == {obo_id_to_iri("X:2")}
 
 
+@pytest.mark.parametrize(
+    "value, label",
+    [
+        ('pain {comment="x"} ! c', "pain"),
+        ("pain ! a comment", "pain"),
+        ("pain {source=\"manual\"}", "pain"),
+        (r"left \! right \{x\} ! comment", r"left \! right \{x\}"),
+        ("pain", "pain"),
+    ],
+)
+def test_parse_obo_name_drops_modifiers_and_comment(value, label):
+    report = parse_obo(f"ontology: m\n\n[Term]\nid: X:1\nname: {value}\n")
+    assert report.ontology.classes[obo_id_to_iri("X:1")].label == label
+
+
 def test_parse_obo_empty_is_error():
     with pytest.raises(ParseError):
         parse_obo("format-version: 1.2\n")
@@ -126,8 +143,19 @@ def test_parse_json_errors():
         parse_json_ontology('{"id": "x"}')
     with pytest.raises(ParseError):
         parse_json_ontology('{"id": "x", "classes": []}')
-    with pytest.raises(ParseError):
-        parse_json_ontology('{"id": "x", "classes": [{"label": "no iri"}]}')
+    with pytest.raises(ParseError, match='class entry 1 without "iri"'):
+        parse_json_ontology('{"id": "x", "classes": [{"iri": "http://x/A"}, {"label": "no iri"}]}')
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("label", 5), ("synonyms", "abc"), ("synonyms", [1]), ("parents", "http://x/B"), ("parents", [[1]])],
+)
+def test_parse_json_field_types(field, value):
+    text = json.dumps({"id": "x", "classes": [{"iri": "http://x/A", "label": "a", field: value}]})
+    message = '^class http://x/A: "label" must be a string, "synonyms" and "parents" lists of strings$'
+    with pytest.raises(ParseError, match=message):
+        parse_json_ontology(text)
 
 
 def test_parse_json_duplicate_and_self_parent_warn():

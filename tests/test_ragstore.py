@@ -1,5 +1,6 @@
 import io
 import json
+import re
 import threading
 import zlib
 
@@ -584,152 +585,118 @@ class TestIngest:
             retrieve(handbook_store, "q", DeterministicEmbedder(dim=32), k=2)
 
 
-class _FakeResponse:
-    def __init__(self, status_code=200, payload=None):
-        self.status_code = status_code
-        self._payload = payload
-
-    def json(self):
-        if self._payload is None:
-            raise ValueError("no body")
-        return self._payload
+def _length_rows(seen):
+    """A reply whose row for each input is its length, eight times."""
+    return 200, {"data": [{"embedding": [float(len(t))] * 8} for t in seen.body["input"]]}
 
 
 class TestHttpEmbeddingProvider:
-    def _patch(self, monkeypatch, handler):
-        import requests
-
-        monkeypatch.setattr(requests, "post", handler)
-
-    @staticmethod
-    def _length_rows(json):
-        return _FakeResponse(payload={"data": [{"embedding": [float(len(t))] * 8} for t in json["input"]]})
-
-    def test_batching_preserves_order(self, monkeypatch):
-        calls = []
-
-        def fake_post(url, json=None, headers=None, timeout=None):
-            calls.append(list(json["input"]))
-            return self._length_rows(json)
-
-        self._patch(monkeypatch, fake_post)
-        provider = HttpEmbeddingProvider("http://api.test/v1", dim=8, batch_size=2)
+    def test_batching_preserves_order(self, http_stub):
+        http_stub.reply = _length_rows
+        provider = HttpEmbeddingProvider(http_stub.url, model="m2", dim=8, batch_size=2)
         out = provider.embed(["a", "bb", "ccc", "dddd", "eeeee"])
         assert out.shape == (5, 8)
         assert [row[0] for row in out] == [1.0, 2.0, 3.0, 4.0, 5.0]
         # the pool may post the batches in any order
-        assert sorted(calls) == [["a", "bb"], ["ccc", "dddd"], ["eeeee"]]
+        assert sorted(seen.body["input"] for seen in http_stub.received) == [["a", "bb"], ["ccc", "dddd"], ["eeeee"]]
+        for seen in http_stub.received:
+            assert seen.path == "/v1"
+            assert seen.headers["Content-Type"] == "application/json"
+            assert seen.body["model"] == "m2"
 
-    def test_batches_are_in_flight_at_once(self, monkeypatch):
+    def test_batches_are_in_flight_at_once(self, http_stub):
         # Serial posting would leave the first request alone at the barrier.
         barrier = threading.Barrier(2, timeout=5)
 
-        def fake_post(url, json=None, headers=None, timeout=None):
+        def reply(seen):
             barrier.wait()
-            return self._length_rows(json)
+            return _length_rows(seen)
 
-        self._patch(monkeypatch, fake_post)
-        out = HttpEmbeddingProvider("http://api.test/v1", dim=8, batch_size=1).embed(["a", "bb"])
+        http_stub.reply = reply
+        out = HttpEmbeddingProvider(http_stub.url, dim=8, batch_size=1).embed(["a", "bb"])
         assert [row[0] for row in out] == [1.0, 2.0]
 
-    def test_pool_only_for_several_batches(self, monkeypatch):
+    def test_pool_only_for_several_batches(self, http_stub, monkeypatch):
         import concurrent.futures
 
         pools, threads = [], []
         make_pool = concurrent.futures.ThreadPoolExecutor
+        post_json = ragstore._post_json
 
         def recording_pool(max_workers):
             pools.append(max_workers)
             return make_pool(max_workers)
 
-        def fake_post(url, json=None, headers=None, timeout=None):
+        def recording_post(*args):
             threads.append(threading.get_ident())
-            return self._length_rows(json)
+            return post_json(*args)
 
         monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", recording_pool)
-        self._patch(monkeypatch, fake_post)
-        provider = HttpEmbeddingProvider("http://api.test/v1", dim=8, batch_size=2)
+        monkeypatch.setattr(ragstore, "_post_json", recording_post)
+        http_stub.reply = _length_rows
+        provider = HttpEmbeddingProvider(http_stub.url, dim=8, batch_size=2)
         provider.embed(["a", "bb"])
         assert pools == [] and threads == [threading.get_ident()]
         provider.embed(["a", "bb", "ccc"])
         assert pools == [ragstore.MAX_IN_FLIGHT]
+        assert len(http_stub.received) == 3
 
-    def test_one_failing_batch_fails_the_call(self, monkeypatch):
-        def fake_post(url, json=None, headers=None, timeout=None):
-            if "bad" in json["input"]:
-                return _FakeResponse(status_code=500)
-            return self._length_rows(json)
-
-        self._patch(monkeypatch, fake_post)
-        provider = HttpEmbeddingProvider("http://api.test/v1", dim=8, batch_size=2)
+    def test_one_failing_batch_fails_the_call(self, http_stub):
+        http_stub.reply = lambda seen: (500, {}) if "bad" in seen.body["input"] else _length_rows(seen)
+        provider = HttpEmbeddingProvider(http_stub.url, dim=8, batch_size=2)
         with pytest.raises(ProviderError, match="returned status 500"):
             provider.embed(["a", "bb", "ccc", "bad", "eeeee"])
 
-    def test_sends_bearer_token(self, monkeypatch):
-        seen = {}
-
-        def fake_post(url, json=None, headers=None, timeout=None):
-            seen.update(headers)
-            return _FakeResponse(payload={"data": [{"embedding": [0.0] * 8}]})
-
-        self._patch(monkeypatch, fake_post)
+    def test_sends_bearer_token(self, http_stub, monkeypatch):
+        http_stub.reply = _length_rows
         monkeypatch.setenv("EMBED_API_KEY", "sekrit")
-        HttpEmbeddingProvider("http://api.test/v1", dim=8).embed(["x"])
-        assert seen["Authorization"] == "Bearer sekrit"
+        HttpEmbeddingProvider(http_stub.url, dim=8).embed(["x"])
+        assert http_stub.received[0].headers["Authorization"] == "Bearer sekrit"
 
-    def test_no_token_no_header(self, monkeypatch):
-        seen = {}
-
-        def fake_post(url, json=None, headers=None, timeout=None):
-            seen.update(headers)
-            return _FakeResponse(payload={"data": [{"embedding": [0.0] * 8}]})
-
-        self._patch(monkeypatch, fake_post)
+    def test_no_token_no_header(self, http_stub, monkeypatch):
+        http_stub.reply = _length_rows
         monkeypatch.delenv("EMBED_API_KEY", raising=False)
-        HttpEmbeddingProvider("http://api.test/v1", dim=8).embed(["x"])
-        assert "Authorization" not in seen
+        HttpEmbeddingProvider(http_stub.url, dim=8).embed(["x"])
+        assert "Authorization" not in http_stub.received[0].headers
 
-    def test_error_paths(self, monkeypatch):
-        provider = HttpEmbeddingProvider("http://api.test/v1", dim=8)
+    def test_error_paths(self, http_stub, refused_url):
+        provider = HttpEmbeddingProvider(http_stub.url, dim=8)
+        url = re.escape(http_stub.url)
 
-        self._patch(monkeypatch, lambda *a, **k: _FakeResponse(status_code=500))
-        with pytest.raises(ProviderError):
+        http_stub.reply = lambda seen: (500, {})
+        with pytest.raises(ProviderError, match=f"embedding request to {url} returned status 500"):
             provider.embed(["x"])
 
-        self._patch(monkeypatch, lambda *a, **k: _FakeResponse(payload=None))
-        with pytest.raises(ProviderError):
+        http_stub.reply = lambda seen: (200, b"not json")
+        with pytest.raises(ProviderError, match=f"malformed embedding response from {url}"):
             provider.embed(["x"])
 
-        self._patch(monkeypatch, lambda *a, **k: _FakeResponse(payload={"data": []}))
-        with pytest.raises(ProviderError):
+        http_stub.reply = lambda seen: (200, {"data": []})
+        with pytest.raises(ProviderError, match="has 0 rows for 1 inputs"):
             provider.embed(["x"])
 
-        self._patch(
-            monkeypatch,
-            lambda *a, **k: _FakeResponse(payload={"data": [{"embedding": [0.0] * 4}]}),
-        )
-        with pytest.raises(ProviderError):
+        http_stub.reply = lambda seen: (200, {"data": [{"embedding": [0.0] * 4}]})
+        with pytest.raises(ProviderError, match="has width 4, expected 8"):
             provider.embed(["x"])
 
         for rows in ([[0.0] * 8, [0.0] * 7], [["x"] * 8, [0.0] * 8], [[0.0] * 8, [float("nan")] * 8]):
-            self._patch(
-                monkeypatch,
-                lambda *a, rows=rows, **k: _FakeResponse(payload={"data": [{"embedding": r} for r in rows]}),
-            )
-            with pytest.raises(ProviderError, match="malformed embedding response from http://api.test/v1"):
+            http_stub.reply = lambda seen, rows=rows: (200, {"data": [{"embedding": r} for r in rows]})
+            with pytest.raises(ProviderError, match=f"malformed embedding response from {url}"):
                 provider.embed(["x", "y"])
 
-        import requests
+        with pytest.raises(ProviderError, match=f"embedding request to {re.escape(refused_url)} failed: .*refused"):
+            HttpEmbeddingProvider(refused_url, dim=8).embed(["x"])
 
-        def boom(*a, **k):
-            raise requests.ConnectionError("refused")
-
-        self._patch(monkeypatch, boom)
-        with pytest.raises(ProviderError):
-            provider.embed(["x"])
+    @pytest.mark.parametrize(
+        "url, reason",
+        [("not a url", "unknown url type"), ("file:///dev/null", "unsupported URL scheme 'file'")],
+    )
+    def test_url_that_is_not_http_fails(self, url, reason):
+        with pytest.raises(ProviderError, match=f"embedding request to {url} failed: .*{reason}"):
+            HttpEmbeddingProvider(url, dim=8).embed(["x"])
 
     def test_empty_input(self):
-        provider = HttpEmbeddingProvider("http://api.test/v1", dim=8)
+        provider = HttpEmbeddingProvider("http://127.0.0.1:9/v1", dim=8)
         assert provider.embed([]).shape == (0, 8)
 
 
