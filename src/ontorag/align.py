@@ -109,8 +109,10 @@ class LexicalScorer:
 
     def score_many(self, pairs: Sequence[tuple[str, str]], floor: float = 0.0) -> list[float]:
         cache = self._cache
-        for text in {text for pair in pairs for text in pair} - cache.keys():
-            cache[text] = _features(text)
+        for pair in pairs:
+            for text in pair:
+                if text not in cache:
+                    cache[text] = _features(text)
         return [_score(cache[a], cache[b], floor) for a, b in pairs]
 
 
@@ -128,11 +130,12 @@ class EmbeddingScorer:
 
     def score_many(self, pairs: Sequence[tuple[str, str]], floor: float = 0.0) -> list[float]:
         """Exact cosine scores; ``floor`` is accepted and not needed."""
-        unseen = sorted({text for pair in pairs for text in pair} - self._cache.keys())
+        cache = self._cache
+        unseen = sorted({text for pair in pairs for text in pair if text not in cache})
         if unseen:
             rows = np.asarray(self._provider.embed(unseen), dtype=np.float64)
-            self._cache.update(zip(unseen, rows, strict=True))
-        return [self._cosine(self._cache[a], self._cache[b]) for a, b in pairs]
+            cache.update(zip(unseen, rows, strict=True))
+        return [self._cosine(cache[a], cache[b]) for a, b in pairs]
 
     @staticmethod
     def _cosine(va: np.ndarray, vb: np.ndarray) -> float:

@@ -11,13 +11,13 @@ from __future__ import annotations
 import argparse
 import contextlib
 import os
+import stat
 import sys
-import tempfile
 
 from . import __version__
 from .align import DEFAULT_THRESHOLD, EmbeddingScorer, LexicalScorer, align, read_mappings, render_mappings
 from .engine import EchoLlm, HttpLlm, answer, chat_repl
-from .errors import DataError, OntoRagError, ProviderError, UsageError
+from .errors import DataError, OntoRagError, UsageError
 from .evaluate import evaluate_batch, read_records, render_summary_tsv
 from .infiltrate import MAX_APPEND_TOTAL, infiltrate
 from .parse import parse_ontology_file
@@ -34,11 +34,11 @@ from .ragstore import (
 from .subsume import (
     DEFAULT_MAX_PER_ANCHOR,
     DEFAULT_SUBSUME_THRESHOLD,
-    SubsumptionDictionary,
     build_dictionary,
     build_subsumption_corpus,
     predict_subsumptions,
     read_corpus,
+    read_dictionary,
     render_corpus,
 )
 
@@ -53,14 +53,17 @@ class _Parser(argparse.ArgumentParser):
 def _atomic_write(path: str, data: str | bytes) -> None:
     """Write via a sibling temp file and rename, so readers never see halves.
 
-    Text is written as UTF-8.
+    Text is written as UTF-8. A new file gets mode ``0o666`` less the umask, as
+    ``open`` gives it; a replaced file keeps its permission bits.
     """
     if isinstance(data, str):
         data = data.encode("utf-8")
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(prefix=".ontorag-", dir=directory)
+    tmp = os.path.join(os.path.dirname(os.path.abspath(path)), f".ontorag-{os.urandom(6).hex()}")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "wb") as fh:
+            with contextlib.suppress(FileNotFoundError):
+                os.chmod(fh.fileno(), stat.S_IMODE(os.stat(path).st_mode))
             fh.write(data)
         os.replace(tmp, path)
     except BaseException:
@@ -69,10 +72,20 @@ def _atomic_write(path: str, data: str | bytes) -> None:
         raise
 
 
+def _write_output(out: str | None, body: str, summary: str) -> None:
+    """Write ``body`` to ``out`` and print ``summary -> out``, or write ``body`` to stdout."""
+    if out:
+        _atomic_write(out, body)
+        print(f"{summary} -> {out}")
+    else:
+        sys.stdout.write(body)
+
+
 def _load_ontology(path: str):
     report = parse_ontology_file(path)
     for lineno, message in report.warnings:
-        print(f"warning: {path}:{lineno}: {message}", file=sys.stderr)
+        where = path if lineno is None else f"{path}:{lineno}"
+        print(f"warning: {where}: {message}", file=sys.stderr)
     return report.ontology
 
 
@@ -105,9 +118,12 @@ def _make_llm(spec: str):
     return _from_spec(spec, EchoLlm, HttpLlm, "llm")
 
 
-def _load_dictionary(path: str) -> SubsumptionDictionary:
-    with open(path, "r", encoding="utf-8") as fh:
-        return SubsumptionDictionary.from_json(fh.read())
+def _rag_inputs(args: argparse.Namespace):
+    """The store, its embedder, the LLM and the dictionary (None without ``--dict``) of a RAG command."""
+    store = VectorStore.load(args.store)
+    provider = _make_embedder(args.provider, store.dim)
+    llm = _make_llm(args.llm)
+    return store, provider, llm, read_dictionary(args.dict) if args.dict else None
 
 
 def cmd_align(args: argparse.Namespace) -> int:
@@ -121,8 +137,9 @@ def cmd_align(args: argparse.Namespace) -> int:
         threshold=args.threshold,
         use_blocking=not args.no_blocking,
     )
-    _atomic_write(args.out, render_mappings(mappings))
-    print(f"aligned {source.id} to {target.id}: {len(mappings)} mappings -> {args.out}")
+    _write_output(
+        args.out, render_mappings(mappings), f"aligned {source.id} to {target.id}: {len(mappings)} mappings"
+    )
     return 0
 
 
@@ -137,11 +154,11 @@ def cmd_subsume(args: argparse.Namespace) -> int:
         negatives_per_positive=args.negatives,
         seed=args.seed,
     )
-    _atomic_write(args.out, render_corpus(corpus))
     positives = sum(1 for p in corpus if p.label)
-    print(
-        f"built corpus from {len(mappings)} mappings: "
-        f"{positives} positive, {len(corpus) - positives} negative -> {args.out}"
+    _write_output(
+        args.out,
+        render_corpus(corpus),
+        f"built corpus from {len(mappings)} mappings: {positives} positive, {len(corpus) - positives} negative",
     )
     return 0
 
@@ -155,16 +172,16 @@ def cmd_dict(args: argparse.Namespace) -> int:
     if args.accepted:
         _atomic_write(args.accepted, render_mappings(accepted))
     dictionary = build_dictionary(accepted, source, target, max_per_anchor=args.max_per_anchor)
-    _atomic_write(args.out, dictionary.to_json())
-    print(
-        f"accepted {len(accepted)} of {len(corpus)} pairs: "
-        f"{len(dictionary.entries)} anchors -> {args.out}"
+    _write_output(
+        args.out,
+        dictionary.to_json(),
+        f"accepted {len(accepted)} of {len(corpus)} pairs: {len(dictionary.entries)} anchors",
     )
     return 0
 
 
 def cmd_infiltrate(args: argparse.Namespace) -> int:
-    dictionary = _load_dictionary(args.dict)
+    dictionary = read_dictionary(args.dict)
     if args.prompt is not None:
         prompts = [args.prompt]
     elif args.infile is not None:
@@ -180,11 +197,7 @@ def cmd_infiltrate(args: argparse.Namespace) -> int:
     ]
     body = "\n".join(r.augmented for r in results) + "\n"
     changed = sum(1 for r in results if r.augmented != r.original)
-    if args.out:
-        _atomic_write(args.out, body)
-        print(f"infiltrated {changed} of {len(results)} prompts -> {args.out}")
-    else:
-        sys.stdout.write(body)
+    _write_output(args.out, body, f"infiltrated {changed} of {len(results)} prompts")
     return 0
 
 
@@ -209,10 +222,7 @@ def cmd_ingest(args: argparse.Namespace) -> int:
 
 
 def cmd_ask(args: argparse.Namespace) -> int:
-    store = VectorStore.load(args.store)
-    provider = _make_embedder(args.provider, store.dim)
-    llm = _make_llm(args.llm)
-    dictionary = _load_dictionary(args.dict) if args.dict else None
+    store, provider, llm, dictionary = _rag_inputs(args)
     result = answer(
         store,
         provider,
@@ -232,10 +242,7 @@ def cmd_ask(args: argparse.Namespace) -> int:
 
 
 def cmd_chat(args: argparse.Namespace) -> int:
-    store = VectorStore.load(args.store)
-    provider = _make_embedder(args.provider, store.dim)
-    llm = _make_llm(args.llm)
-    dictionary = _load_dictionary(args.dict) if args.dict else None
+    store, provider, llm, dictionary = _rag_inputs(args)
     turns = chat_repl(
         store,
         provider,
@@ -253,10 +260,7 @@ def cmd_chat(args: argparse.Namespace) -> int:
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
-    store = VectorStore.load(args.store)
-    provider = _make_embedder(args.provider, store.dim)
-    llm = _make_llm(args.llm)
-    dictionary = _load_dictionary(args.dict)
+    store, provider, llm, dictionary = _rag_inputs(args)
     records = read_records(args.records)
     summary = evaluate_batch(
         records,
@@ -268,15 +272,11 @@ def cmd_eval(args: argparse.Namespace) -> int:
         fuzzy=args.fuzzy,
         bare=args.bare,
     )
-    rendered = render_summary_tsv(summary)
-    if args.out:
-        _atomic_write(args.out, rendered)
-        print(
-            f"evaluated {summary.n_records} records "
-            f"({summary.augmented_count} prompts changed) -> {args.out}"
-        )
-    else:
-        sys.stdout.write(rendered)
+    _write_output(
+        args.out,
+        render_summary_tsv(summary),
+        f"evaluated {summary.n_records} records ({summary.augmented_count} prompts changed)",
+    )
     return 0
 
 
@@ -292,11 +292,6 @@ def _add_scorer_args(sub: argparse.ArgumentParser) -> None:
 def _add_rag_args(sub: argparse.ArgumentParser, with_dict_required: bool = False) -> None:
     sub.add_argument("--store", required=True, help="store JSONL path (its matrix is PATH.npy)")
     sub.add_argument(
-        "--provider",
-        default=os.environ.get("ONTORAG_PROVIDER", DeterministicEmbedder.name),
-        help=f"embedding provider: {DeterministicEmbedder.name!r} or an http(s) URL",
-    )
-    sub.add_argument(
         "--llm",
         default=os.environ.get("ONTORAG_LLM", EchoLlm.name),
         help=f"completion provider: {EchoLlm.name!r} or an http(s) URL",
@@ -311,6 +306,13 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="ontorag", description=__doc__)
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     subs = parser.add_subparsers(dest="command", metavar="command", parser_class=_Parser)
+    # Shared by ingest and the commands that read a store.
+    provider = _Parser(add_help=False)
+    provider.add_argument(
+        "--provider",
+        default=os.environ.get("ONTORAG_PROVIDER", DeterministicEmbedder.name),
+        help=f"embedding provider: {DeterministicEmbedder.name!r} or an http(s) URL",
+    )
 
     p = subs.add_parser("align", help="extract equivalence mappings between two ontologies")
     p.add_argument("--source", required=True, help="source ontology (.obo or .json)")
@@ -367,32 +369,27 @@ def build_parser() -> _Parser:
     )
     p.set_defaults(func=cmd_infiltrate)
 
-    p = subs.add_parser("ingest", help="chunk and embed documents into a store")
+    p = subs.add_parser("ingest", help="chunk and embed documents into a store", parents=[provider])
     p.add_argument("--store", required=True, help="store JSONL and PATH.npy; created if missing")
     p.add_argument("--doc", required=True, action="append", help="document text file (repeatable)")
     p.add_argument("--doc-id", help="document id (single --doc only; default: file stem)")
-    p.add_argument(
-        "--provider",
-        default=os.environ.get("ONTORAG_PROVIDER", DeterministicEmbedder.name),
-        help=f"embedding provider: {DeterministicEmbedder.name!r} or an http(s) URL",
-    )
     p.add_argument("--dim", type=int, default=DEFAULT_DIM, help=f"embedding width for new stores (default: {DEFAULT_DIM})")
     p.add_argument("--size", type=int, default=CHUNK_SIZE, help=f"chunk size (default: {CHUNK_SIZE})")
     p.add_argument("--overlap", type=int, default=CHUNK_OVERLAP, help=f"chunk overlap (default: {CHUNK_OVERLAP})")
     p.set_defaults(func=cmd_ingest)
 
-    p = subs.add_parser("ask", help="answer one question against a store")
+    p = subs.add_parser("ask", help="answer one question against a store", parents=[provider])
     _add_rag_args(p)
     p.add_argument("--question", required=True)
     p.add_argument("--show-context", action="store_true", help="print augmentation and hits to stderr")
     p.set_defaults(func=cmd_ask)
 
-    p = subs.add_parser("chat", help="interactive loop; /quit or EOF ends it")
+    p = subs.add_parser("chat", help="interactive loop; /quit or EOF ends it", parents=[provider])
     _add_rag_args(p)
     p.add_argument("--log", help="append turns as JSONL here")
     p.set_defaults(func=cmd_chat)
 
-    p = subs.add_parser("eval", help="measure hallucination with and without infiltration")
+    p = subs.add_parser("eval", help="measure hallucination with and without infiltration", parents=[provider])
     _add_rag_args(p, with_dict_required=True)
     p.add_argument("--records", required=True, help="JSONL of prompt and ground_truth")
     p.add_argument("--out", help="write the summary TSV here instead of stdout")
@@ -409,14 +406,8 @@ def main(argv: list[str] | None = None) -> int:
             parser.print_help(sys.stderr)
             return 1
         return args.func(args)
-    except UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 1
-    except ProviderError as exc:
-        print(f"provider error: {exc}", file=sys.stderr)
-        return exc.exit_code
     except OntoRagError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"{exc.prefix}: {exc}", file=sys.stderr)
         return exc.exit_code
     except (FileNotFoundError, IsADirectoryError, PermissionError) as exc:
         name = getattr(exc, "filename", None) or exc

@@ -1,6 +1,6 @@
 """Exception taxonomy shared by the library and the CLI.
 
-Each class carries the process exit code the CLI maps it to.
+Each class carries the process exit code and the stderr prefix the CLI uses.
 """
 
 
@@ -8,12 +8,14 @@ class OntoRagError(Exception):
     """Base class for every error this package raises on purpose."""
 
     exit_code = 2
+    prefix = "error"
 
 
 class UsageError(OntoRagError):
     """A parameter is outside its documented range or a flag is misused."""
 
     exit_code = 1
+    prefix = "usage error"
 
 
 class DataError(OntoRagError):
@@ -34,3 +36,4 @@ class ProviderError(OntoRagError):
     """An embedding, scoring, or LLM provider call failed."""
 
     exit_code = 3
+    prefix = "provider error"

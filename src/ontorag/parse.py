@@ -21,10 +21,10 @@ OBO_PURL_PREFIX = "http://purl.obolibrary.org/obo/"
 
 @dataclass
 class ParseReport:
-    """Parsed ontology plus (1-based line number, message) warnings."""
+    """Parsed ontology plus (1-based line or None, message) warnings; JSON's name their class entry."""
 
     ontology: Ontology
-    warnings: list[tuple[int, str]] = field(default_factory=list)
+    warnings: list[tuple[int | None, str]] = field(default_factory=list)
 
 
 def obo_id_to_iri(obo_id: str) -> str:
@@ -170,7 +170,7 @@ def parse_json_ontology(text: str) -> ParseReport:
     if not isinstance(entries, list):
         raise ParseError('ontology document must carry a "classes" list')
 
-    warnings: list[tuple[int, str]] = []
+    warnings: list[tuple[int | None, str]] = []
     classes: dict[str, OntologyClass] = {}
     for index, entry in enumerate(entries):
         if not isinstance(entry, dict) or not isinstance(entry.get("iri"), str) or not entry["iri"]:
@@ -189,10 +189,10 @@ def parse_json_ontology(text: str) -> ParseReport:
         synonyms = {s for s in synonyms if s}
         parents = set(parents)
         if iri in parents:
-            warnings.append((1, f"self is_a on {iri} dropped"))
+            warnings.append((None, f"class entry {index} ({iri}): self is_a dropped"))
             parents.discard(iri)
         if iri in classes:
-            warnings.append((1, f"duplicate iri {iri}: previous class replaced"))
+            warnings.append((None, f"class entry {index} ({iri}): duplicate iri, previous class replaced"))
         classes[iri] = OntologyClass(
             iri=iri,
             label=label,
@@ -227,12 +227,16 @@ def serialize_ontology(o: Ontology) -> str:
 
 
 def parse_ontology_file(path: str) -> ParseReport:
-    """Parse `path` as OBO or JSON, sniffing by extension then content."""
+    """Parse `path` as OBO or JSON, sniffing by extension then content.
+
+    A :class:`ParseError` names ``path``.
+    """
     with open(path, "r", encoding="utf-8") as handle:
         text = handle.read()
     lower = path.lower()
-    if lower.endswith(".json"):
-        return parse_json_ontology(text)
-    if lower.endswith(".obo"):
+    try:
+        if lower.endswith(".json") or (not lower.endswith(".obo") and text.lstrip().startswith("{")):
+            return parse_json_ontology(text)
         return parse_obo(text)
-    return parse_json_ontology(text) if text.lstrip().startswith("{") else parse_obo(text)
+    except ParseError as exc:
+        raise ParseError(f"{path}: {exc}") from None

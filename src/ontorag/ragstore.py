@@ -51,11 +51,6 @@ class EmbeddingProvider(Protocol):
     def embed(self, texts: Sequence[str]) -> np.ndarray: ...
 
 
-def deterministic_embed(text: str, dim: int = DEFAULT_DIM) -> np.ndarray:
-    """The :class:`DeterministicEmbedder` row of one text."""
-    return DeterministicEmbedder(dim).embed([text])[0]
-
-
 class DeterministicEmbedder:
     """Offline provider: feature-hashed token counts, L2-normalized.
 
@@ -262,9 +257,6 @@ class VectorStore:
     def __len__(self) -> int:
         return len(self.chunks)
 
-    def chunk_ids(self) -> set[str]:
-        return {c.id for c in self.chunks}
-
     def add_chunks(self, new_chunks: Sequence[Chunk], vectors: np.ndarray) -> None:
         """Validate then merge; the store is untouched if anything is wrong.
 
@@ -276,7 +268,7 @@ class VectorStore:
                 f"{len(new_chunks)} chunks need vectors of shape ({len(new_chunks)}, {self.dim}), "
                 f"got {vectors.shape}"
             )
-        seen = self.chunk_ids()
+        seen = {c.id for c in self.chunks}
         for chunk in new_chunks:
             if chunk.id in seen:
                 raise DataError(f"duplicate chunk id {chunk.id}")
@@ -367,6 +359,15 @@ class VectorStore:
             raise DataError(f"{path}:{header_no}: store header needs dim, provider, created")
         if header["dim"] < MIN_DIM:
             raise DataError(f"{path}:{header_no}: store dim must be >= {MIN_DIM}")
+        # The whole header is checked before any row is decoded, so an old store fails at line 1.
+        rows, crc = header.get("rows"), header.get("crc32")
+        if not isinstance(rows, int) or not isinstance(crc, int):
+            raise DataError(
+                f"{path}:{header_no}: store header needs rows and crc32; re-ingest a store "
+                f"written without a {MATRIX_SUFFIX} matrix file"
+            )
+        if rows != len(lines) - 1:
+            raise DataError(f"{path}:{header_no}: header says {rows} rows, the file has {len(lines) - 1}")
         store = cls(dim=header["dim"], provider_name=header["provider"], created=header["created"])
         chunks: list[Chunk] = []
         for lineno, line in lines[1:]:
@@ -374,31 +375,20 @@ class VectorStore:
                 row = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise DataError(f"{path}:{lineno}: bad chunk row: {exc}") from exc
-            if isinstance(row, dict) and "embedding" in row:
-                raise DataError(
-                    f"{path}:{lineno}: inline embedding: this store predates the {MATRIX_SUFFIX} "
-                    "matrix file; re-ingest its documents"
-                )
+            # Three keys, all present: exactly id, doc_id and text.
             try:
                 chunk_id, doc_id, text = row["id"], row["doc_id"], row["text"]
-            except (KeyError, TypeError) as exc:
-                raise DataError(f"{path}:{lineno}: chunk row needs id, doc_id, text") from exc
-            if type(chunk_id) is not str or type(doc_id) is not str or type(text) is not str:
-                raise DataError(f"{path}:{lineno}: chunk id, doc_id and text must be strings")
+                shaped = len(row) == 3 and type(chunk_id) is str and type(doc_id) is str and type(text) is str
+            except (KeyError, TypeError):
+                shaped = False
+            if not shaped:
+                raise DataError(f"{path}:{lineno}: chunk row needs exactly the string fields id, doc_id and text")
             if chunks and chunk_id <= chunks[-1].id:
                 raise DataError(
                     f"{path}:{lineno}: chunk id {chunk_id!r} does not follow {chunks[-1].id!r}; "
                     "rows must be sorted by id without duplicates"
                 )
             chunks.append(Chunk(id=chunk_id, doc_id=doc_id, text=text))
-        rows, crc = header.get("rows"), header.get("crc32")
-        if not isinstance(rows, int) or not isinstance(crc, int):
-            raise DataError(
-                f"{path}:{header_no}: store header needs rows and crc32; re-ingest a store "
-                f"written without a {MATRIX_SUFFIX} matrix file"
-            )
-        if rows != len(chunks):
-            raise DataError(f"{path}:{header_no}: header says {rows} rows, the file has {len(chunks)}")
         matrix = np.ascontiguousarray(_read_matrix(path + MATRIX_SUFFIX, crc, (rows, store.dim)))
         norms, row_no = _row_norms(matrix)
         if row_no is not None:

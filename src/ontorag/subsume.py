@@ -142,10 +142,8 @@ class SubsumptionDictionary:
             raise DataError('dictionary JSON must be an object with an "entries" object')
         entries: dict[str, tuple[str, ...]] = {}
         for key, values in payload["entries"].items():
-            if not isinstance(key, str) or not isinstance(values, list):
-                raise DataError("dictionary entries must map strings to lists of strings")
-            if any(not isinstance(v, str) for v in values):
-                raise DataError(f"entry {key!r} holds a non-string label")
+            if not isinstance(values, list) or any(not isinstance(v, str) for v in values):
+                raise DataError(f"entry {key!r} must be a list of strings")
             entries[key] = tuple(values)
         return cls(entries=entries)
 
@@ -206,3 +204,13 @@ def read_corpus(path: str) -> list[SubsumptionPair]:
             raise DataError(f"{path}:{lineno}: label must be 0 or 1, got {label_text!r}")
         out.append(SubsumptionPair(concept, candidate, label_text == "1"))
     return out
+
+
+def read_dictionary(path: str) -> SubsumptionDictionary:
+    """Read a dictionary in the form :meth:`SubsumptionDictionary.to_json` produces."""
+    with open(path, "r", encoding="utf-8") as fh:
+        text = fh.read()
+    try:
+        return SubsumptionDictionary.from_json(text)
+    except DataError as exc:
+        raise DataError(f"{path}: {exc}") from None

@@ -16,7 +16,7 @@ from ontorag.align import (
 )
 from ontorag.errors import DataError, ProviderError
 from ontorag.model import Ontology, OntologyClass, label_tokens, normalize_label
-from ontorag.ragstore import DeterministicEmbedder, deterministic_embed
+from ontorag.ragstore import DeterministicEmbedder
 
 CS = "http://example.org/clinical-signs#"
 S = "http://purl.obolibrary.org/obo/"
@@ -227,7 +227,7 @@ class TestEmbeddingScorer:
         scores = scorer.score_many(pairs)
         assert len(scores) == len(pairs)
         for (a, b), score in zip(pairs, scores):
-            va, vb = deterministic_embed(a, 32), deterministic_embed(b, 32)
+            va, vb = DeterministicEmbedder(32).embed([a])[0], DeterministicEmbedder(32).embed([b])[0]
             cos = float(np.dot(va, vb) / (float(np.linalg.norm(va)) * float(np.linalg.norm(vb))))
             assert score == min(1.0, max(0.0, cos))
             assert 0.0 <= score <= 1.0
@@ -251,3 +251,27 @@ class TestEmbeddingScorer:
         }
         assert len(batches) <= len({s_iri for s_iri, _ in pairs})
         assert all(batch == sorted(batch) for batch in batches)
+
+
+class _NoWalkCache(dict):
+    """A scorer cache that fails if anything lists or copies its keys."""
+
+    def keys(self):
+        raise AssertionError("cache keys listed")
+
+    def __iter__(self):
+        raise AssertionError("cache iterated")
+
+
+@pytest.mark.parametrize(
+    "make", [LexicalScorer, lambda: EmbeddingScorer(DeterministicEmbedder(dim=32))], ids=["lexical", "embedding"]
+)
+def test_scorer_cache_is_looked_up_per_text(make, source_onto, target_onto):
+    scorer = make()
+    scorer._cache = _NoWalkCache()
+    got = align(source_onto, target_onto, scorer=scorer, threshold=0.5)
+    assert got == align(source_onto, target_onto, scorer=make(), threshold=0.5)
+    assert len(scorer._cache) > 0
+    # a second batch finds its texts in the cache
+    pairs = [("fever", "rash"), ("rash", "Fever")]
+    assert scorer.score_many(pairs) == make().score_many(pairs)

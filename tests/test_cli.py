@@ -1,13 +1,16 @@
+import argparse
 import hashlib
 import io
 import json
+import os
+import stat
 import subprocess
 import sys
 
 import pytest
 
 import ontorag.ragstore
-from ontorag.cli import main
+from ontorag.cli import _atomic_write, build_parser, main
 from ontorag.fixtures import export_fixtures
 from ontorag.subsume import SubsumptionDictionary
 
@@ -103,6 +106,44 @@ def test_ingest_writes_matrix_then_jsonl(capsys, workdir, monkeypatch):
     code, _, _ = run(capsys, "ingest", "--store", "s.jsonl", "--doc", "handbook.txt")
     assert code == 0
     assert written == [("s.jsonl.npy", bytes), ("s.jsonl", str)]
+
+
+def _mode(path):
+    return stat.S_IMODE(path.stat().st_mode)
+
+
+@pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)], ids=["umask-022", "umask-077"])
+def test_new_outputs_get_the_umask_mode(capsys, workdir, umask, mode):
+    old = os.umask(umask)
+    try:
+        align = run(capsys, "align", "--source", "symptoms.obo", "--target", "clinical_signs.json", "--out", "m.tsv")
+        ingest = run(capsys, "ingest", "--store", "s.jsonl", "--doc", "handbook.txt")
+    finally:
+        os.umask(old)
+    assert align[0] == ingest[0] == 0
+    assert [_mode(workdir / name) for name in ("m.tsv", "s.jsonl", "s.jsonl.npy")] == [mode] * 3
+    assert not list(workdir.glob(".ontorag-*"))
+
+
+def test_replaced_output_keeps_its_mode(capsys, workdir):
+    keep = workdir / "keep.tsv"
+    keep.write_text("old\n", encoding="utf-8")
+    keep.chmod(0o640)
+    old = os.umask(0o022)
+    try:
+        code, _, _ = run(capsys, "align", "--source", "symptoms.obo", "--target", "clinical_signs.json", "--out", "keep.tsv")
+    finally:
+        os.umask(old)
+    assert code == 0
+    assert keep.read_text(encoding="utf-8").startswith("source_iri\t")
+    assert _mode(keep) == 0o640
+
+
+def test_failed_write_leaves_nothing(workdir):
+    with pytest.raises(TypeError):
+        _atomic_write("x.tsv", 5)
+    assert not (workdir / "x.tsv").exists()
+    assert not list(workdir.glob(".ontorag-*"))
 
 
 def _three_docs(workdir):
@@ -235,6 +276,26 @@ class TestExitCodes:
         assert 'class http://x/A: "label" must be a string' in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "name, text, argv, message",
+        [
+            ("bad.obo", "format-version: 1.2\n", ["align", "--source", "symptoms.obo", "--target", "bad.obo", "--out", "x.tsv"],
+             "error: bad.obo: no terms parsed from OBO input"),
+            ("bad.json", json.dumps({"id": "x", "classes": [{"iri": "http://x/A", "label": 5}]}),
+             ["align", "--source", "symptoms.obo", "--target", "bad.json", "--out", "x.tsv"],
+             'error: bad.json: class http://x/A: "label" must be a string'),
+            ("d.json", '{"entries": []}', ["infiltrate", "--dict", "d.json", "--prompt", "What helps a cough?"],
+             'error: d.json: dictionary JSON must be an object with an "entries" object'),
+        ],
+        ids=["empty-obo", "mistyped-json", "dictionary-shape"],
+    )
+    def test_input_error_names_its_file(self, capsys, workdir, name, text, argv, message):
+        (workdir / name).write_text(text, encoding="utf-8")
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert message in err
+        assert out == ""
+
     def test_bad_flag_is_usage_error(self, capsys, workdir):
         code, _, err = run(capsys, "align", "--nonsense")
         assert code == 1
@@ -330,6 +391,29 @@ class TestExitCodes:
         )
         assert code == 2
         assert "provider" in err
+
+
+def test_json_warnings_name_the_class_entry(capsys, workdir):
+    classes = [{"iri": "http://x/#a", "label": "fever"}, {"iri": "http://x/#a", "label": "cough"}]
+    (workdir / "dup.json").write_text(json.dumps({"id": "d", "classes": classes}), encoding="utf-8")
+    code, _, err = run(capsys, "align", "--source", "symptoms.obo", "--target", "dup.json", "--out", "x.tsv")
+    assert code == 0
+    assert "warning: dup.json: class entry 1 (http://x/#a): duplicate iri" in err
+
+
+def test_parser_defines_each_option_once(monkeypatch):
+    # --provider and the RAG options have one definition each; a copy per
+    # subcommand would push the count up
+    calls = []
+    real = argparse._ActionsContainer.add_argument
+
+    def count(self, *args, **kwargs):
+        calls.append(args)
+        return real(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse._ActionsContainer, "add_argument", count)
+    build_parser()
+    assert len(calls) <= 72
 
 
 def test_env_defaults_are_read(capsys, workdir, monkeypatch):

@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -170,6 +171,11 @@ def test_parse_json_duplicate_and_self_parent_warn():
     assert report.ontology.get("http://x/#a").label == "second"
     assert report.ontology.get("http://x/#b").parents == frozenset()
     assert len(report.warnings) == 2
+    # JSON has no useful line: warnings name the class entry instead
+    assert report.warnings == [
+        (None, "class entry 1 (http://x/#a): duplicate iri, previous class replaced"),
+        (None, "class entry 2 (http://x/#b): self is_a dropped"),
+    ]
 
 
 def test_serialize_round_trip(target_onto):
@@ -199,3 +205,11 @@ def test_parse_ontology_file_sniffing(tmp_path):
     assert parse_ontology_file(str(other)).ontology.id == "k"
     other.write_text(OBO_MIN, encoding="utf-8")
     assert parse_ontology_file(str(other)).ontology.id == "demo"
+
+
+def test_parse_ontology_file_errors_name_the_path(tmp_path):
+    for name, text in [("empty.obo", "format-version: 1.2\n"), ("empty.json", '{"id": "x", "classes": []}')]:
+        path = tmp_path / name
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(ParseError, match=f"^{re.escape(str(path))}: "):
+            parse_ontology_file(str(path))

@@ -19,7 +19,6 @@ from ontorag.ragstore import (
     HttpEmbeddingProvider,
     VectorStore,
     chunk_document,
-    deterministic_embed,
     ingest,
     retrieve,
 )
@@ -28,33 +27,33 @@ from ontorag.ragstore import (
 class TestDeterministicEmbed:
     def test_unit_norm(self):
         for text in ["fever", "a b c a", "", "   ", "many words in here now"]:
-            vec = deterministic_embed(text, dim=32)
+            vec = DeterministicEmbedder(32).embed([text])[0]
             assert np.linalg.norm(vec) == pytest.approx(1.0)
 
     def test_empty_text_uses_first_basis_vector(self):
-        vec = deterministic_embed("", dim=16)
+        vec = DeterministicEmbedder(16).embed([""])[0]
         assert vec[0] == 1.0
         assert np.count_nonzero(vec) == 1
 
     def test_known_bucket(self):
         bucket = zlib.crc32(b"fever", 0x9E3779B9) % 8
         assert bucket == 3
-        vec = deterministic_embed("fever", dim=8)
+        vec = DeterministicEmbedder(8).embed(["fever"])[0]
         assert vec[3] == 1.0
 
     def test_token_order_does_not_matter(self):
-        a = deterministic_embed("alpha beta gamma", dim=32)
-        b = deterministic_embed("gamma beta alpha", dim=32)
+        a = DeterministicEmbedder(32).embed(["alpha beta gamma"])[0]
+        b = DeterministicEmbedder(32).embed(["gamma beta alpha"])[0]
         np.testing.assert_array_equal(a, b)
 
     def test_case_and_punctuation_fold(self):
-        a = deterministic_embed("Fever!", dim=32)
-        b = deterministic_embed("fever", dim=32)
+        a = DeterministicEmbedder(32).embed(["Fever!"])[0]
+        b = DeterministicEmbedder(32).embed(["fever"])[0]
         np.testing.assert_array_equal(a, b)
 
     def test_minimum_width(self):
         with pytest.raises(DataError):
-            deterministic_embed("x", dim=7)
+            DeterministicEmbedder(7).embed(["x"])[0]
         with pytest.raises(DataError):
             DeterministicEmbedder(dim=4)
 
@@ -63,7 +62,7 @@ class TestDeterministicEmbed:
     @example("  --  !? ", 32)
     @example("a a a b", 8)
     def test_matches_per_token_reference(self, text, dim):
-        got = deterministic_embed(text, dim=dim)
+        got = DeterministicEmbedder(dim).embed([text])[0]
         assert got.dtype == np.float64
         assert got.tobytes() == _reference_row(text, dim).tobytes()
 
@@ -116,7 +115,7 @@ class TestDeterministicEmbed:
         provider = DeterministicEmbedder(dim=16)
         out = provider.embed(["a", "b"])
         assert out.shape == (2, 16)
-        np.testing.assert_array_equal(out[0], deterministic_embed("a", dim=16))
+        np.testing.assert_array_equal(out[0], DeterministicEmbedder(16).embed(["a"])[0])
 
 
 def _reference_row(text, dim):
@@ -371,6 +370,7 @@ class TestVectorStore:
             {"row": {"embedding": None}},
             {"drop": "id"},
             {"drop": "text"},
+            {"row": {"note": "x"}},
         ],
     )
     def test_bad_row_names_its_line(self, tmp_path, bad):
@@ -502,13 +502,29 @@ class TestStorePair:
         with pytest.raises(DataError, match=rf"s\.jsonl:{line}: chunk id '{ids[line - 2]}' does not follow"):
             VectorStore.load(str(path))
 
+    @pytest.mark.parametrize(
+        "header, message",
+        [
+            ({"dim": 8, "provider": "p", "created": 1}, "store header needs rows and crc32"),
+            ({"dim": 8, "provider": "p", "created": 1, "rows": 1, "crc32": "0"}, "store header needs rows and crc32"),
+            ({"dim": 8, "provider": "p", "created": 1, "rows": 2, "crc32": 0}, "header says 2 rows, the file has 1"),
+        ],
+        ids=["no-rows", "string-crc32", "row-count"],
+    )
+    def test_header_is_checked_before_rows(self, tmp_path, header, message):
+        path = tmp_path / "s.jsonl"
+        path.write_text(json.dumps(header) + "\n{not json\n", encoding="utf-8")
+        with pytest.raises(DataError, match=rf"s\.jsonl:1: {message}"):
+            VectorStore.load(str(path))
+
     def test_inline_embeddings_say_reingest(self, tmp_path):
-        # the single-file format: no rows or crc32, embeddings inside the rows
+        # the single-file format: no rows or crc32, embeddings inside the rows;
+        # its header is rejected before any row is read
         path = tmp_path / "old.jsonl"
         header = json.dumps({"dim": 8, "provider": "p", "created": 1})
         row = json.dumps({**_ROW, "embedding": [1.0] * 8})
         path.write_text(f"{header}\n{row}\n", encoding="utf-8")
-        with pytest.raises(DataError, match=r"old\.jsonl:2: inline embedding.*re-ingest"):
+        with pytest.raises(DataError, match=r"old\.jsonl:1: store header needs rows and crc32.*re-ingest"):
             VectorStore.load(str(path))
         path.write_text(f"{header}\n", encoding="utf-8")
         with pytest.raises(DataError, match=r"old\.jsonl:1: .*re-ingest"):
@@ -520,7 +536,7 @@ class TestIngest:
         assert len(handbook_store) == 8
         assert {c.doc_id for c in handbook_store.chunks} == {"handbook"}
         # ids carry the grid offset
-        assert "handbook:0" in handbook_store.chunk_ids()
+        assert "handbook:0" in {c.id for c in handbook_store.chunks}
 
     def test_rejects_mismatched_provider(self, handbook_store):
         other = DeterministicEmbedder(dim=32)
@@ -571,7 +587,7 @@ class TestIngest:
         ids = [c.id for c in store.chunks]
         assert ids == sorted(ids)
         for chunk, row in zip(store.chunks, store.matrix):
-            assert row.tobytes() == deterministic_embed(chunk.text, embedder.dim).tobytes()
+            assert row.tobytes() == DeterministicEmbedder(embedder.dim).embed([chunk.text])[0].tobytes()
 
     def test_reingest_same_doc_rejected(self, handbook_store, embedder):
         with pytest.raises(DataError):

@@ -12,6 +12,7 @@ from ontorag.subsume import (
     build_subsumption_corpus,
     predict_subsumptions,
     read_corpus,
+    read_dictionary,
     render_corpus,
 )
 
@@ -223,6 +224,14 @@ def test_dictionary_json_validation():
     empty = SubsumptionDictionary.from_json('{"entries": {}}')
     assert empty.entries == {}
     assert empty.max_key_word_count == 0
+
+
+@pytest.mark.parametrize("values", ['"not a list"', "[1, 2]"])
+def test_read_dictionary_names_file_and_entry(tmp_path, values):
+    path = tmp_path / "d.json"
+    path.write_text(f'{{"entries": {{"ok": [], "a": {values}}}}}', encoding="utf-8")
+    with pytest.raises(DataError, match=r"d\.json: entry 'a' must be a list of strings$"):
+        read_dictionary(str(path))
 
 
 def test_corpus_tsv_round_trip(tmp_path, source_onto, target_onto, fixture_mappings):
