@@ -18,6 +18,7 @@ import numpy as np
 from ._kernels import levenshtein
 from .errors import DataError, ProviderError
 from .model import ClassIri, Ontology, OntologyClass, label_tokens, normalize_label
+from .parse import read_tsv
 
 DEFAULT_THRESHOLD = 0.9
 EQUIV = "EQUIV"
@@ -253,17 +254,8 @@ def render_mappings(mappings: Iterable[EquivalenceMapping]) -> str:
 
 def read_mappings(path: str) -> list[EquivalenceMapping]:
     """Read a mapping TSV in the form :func:`render_mappings` produces."""
-    with open(path, "r", encoding="utf-8") as fh:
-        raw = fh.read()
-    lines = [(n, line) for n, line in enumerate(raw.split("\n"), start=1) if line]
-    if not lines or lines[0][1] != _HEADER:
-        raise DataError(f"{path}: missing mapping header")
     out: list[EquivalenceMapping] = []
-    for lineno, line in lines[1:]:
-        fields = line.split("\t")
-        if len(fields) != 4:
-            raise DataError(f"{path}:{lineno}: expected 4 tab-separated fields")
-        src, tgt, score_text, relation = fields
+    for lineno, (src, tgt, score_text, relation) in read_tsv(path, _HEADER, "mapping"):
         if relation not in _RELATIONS:
             raise DataError(f"{path}:{lineno}: unknown relation {relation!r}")
         try:

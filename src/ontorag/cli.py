@@ -20,7 +20,7 @@ from .engine import EchoLlm, HttpLlm, answer, chat_repl
 from .errors import DataError, OntoRagError, UsageError
 from .evaluate import evaluate_batch, read_records, render_summary_tsv
 from .infiltrate import MAX_APPEND_TOTAL, infiltrate
-from .parse import parse_ontology_file
+from .parse import numbered_lines, parse_ontology_file, read_text
 from .ragstore import (
     CHUNK_OVERLAP,
     CHUNK_SIZE,
@@ -59,7 +59,10 @@ def _atomic_write(path: str, data: str | bytes) -> None:
     if isinstance(data, str):
         data = data.encode("utf-8")
     tmp = os.path.join(os.path.dirname(os.path.abspath(path)), f".ontorag-{os.urandom(6).hex()}")
-    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    try:
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    except OSError as exc:  # reported under the path the user gave, not the temp name
+        raise OSError(exc.errno, exc.strerror, path) from None
     try:
         with os.fdopen(fd, "wb") as fh:
             with contextlib.suppress(FileNotFoundError):
@@ -184,11 +187,9 @@ def cmd_infiltrate(args: argparse.Namespace) -> int:
     dictionary = read_dictionary(args.dict)
     if args.prompt is not None:
         prompts = [args.prompt]
-    elif args.infile is not None:
-        with open(args.infile, "r", encoding="utf-8") as fh:
-            prompts = [line for line in fh.read().split("\n") if line.strip()]
     else:
-        prompts = [line for line in sys.stdin.read().split("\n") if line.strip()]
+        text = read_text(args.infile) if args.infile is not None else sys.stdin.read()
+        prompts = [line for _, line in numbered_lines(text)]
     if not prompts:
         raise DataError("no prompts to infiltrate")
     results = [
@@ -210,10 +211,9 @@ def cmd_ingest(args: argparse.Namespace) -> int:
         store = VectorStore.new(provider)
     if args.doc_id and len(args.doc) > 1:
         raise UsageError("--doc-id only applies when a single --doc is given")
-    docs = []
-    for path in args.doc:
-        with open(path, "r", encoding="utf-8") as fh:
-            docs.append((args.doc_id or os.path.splitext(os.path.basename(path))[0], fh.read()))
+    docs = [
+        (args.doc_id or os.path.splitext(os.path.basename(path))[0], read_text(path)) for path in args.doc
+    ]
     added = ingest(store, docs, provider, size=args.size, overlap=args.overlap)
     for target, data in store.to_jsonl(args.store):
         _atomic_write(target, data)
@@ -280,61 +280,62 @@ def cmd_eval(args: argparse.Namespace) -> int:
     return 0
 
 
-def _add_scorer_args(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument(
-        "--scorer",
-        default=os.environ.get("ONTORAG_SCORER", "lexical"),
-        help="synonymy scorer: 'lexical' or an embedding provider spec (default: lexical)",
-    )
-    sub.add_argument("--dim", type=int, default=DEFAULT_DIM, help="embedding width for non-lexical scorers")
-
-
-def _add_rag_args(sub: argparse.ArgumentParser, with_dict_required: bool = False) -> None:
-    sub.add_argument("--store", required=True, help="store JSONL path (its matrix is PATH.npy)")
-    sub.add_argument(
-        "--llm",
-        default=os.environ.get("ONTORAG_LLM", EchoLlm.name),
-        help=f"completion provider: {EchoLlm.name!r} or an http(s) URL",
-    )
-    sub.add_argument("--dict", required=with_dict_required, help="subsumption dictionary JSON")
-    sub.add_argument("--k", type=int, default=DEFAULT_K, help=f"chunks to retrieve (default: {DEFAULT_K})")
-    sub.add_argument("--fuzzy", action="store_true", help="allow one-edit anchor matches")
-    sub.add_argument("--bare", action="store_true", help="append terms without the (related: ...) marker")
-
-
 def build_parser() -> _Parser:
     parser = _Parser(prog="ontorag", description=__doc__)
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     subs = parser.add_subparsers(dest="command", metavar="command", parser_class=_Parser)
-    # Shared by ingest and the commands that read a store.
+    # Each option that several subcommands share is defined once, in a parent.
+    ontologies = _Parser(add_help=False)
+    ontologies.add_argument("--source", required=True, help="source ontology (.obo or .json)")
+    ontologies.add_argument("--target", required=True, help="target ontology (.obo or .json)")
+    scorer = _Parser(add_help=False)
+    scorer.add_argument(
+        "--scorer",
+        default=os.environ.get("ONTORAG_SCORER", "lexical"),
+        help="synonymy scorer: 'lexical' or an embedding provider spec (default: lexical)",
+    )
+    scorer.add_argument("--dim", type=int, default=DEFAULT_DIM, help="embedding width for non-lexical scorers")
+    matching = _Parser(add_help=False)
+    matching.add_argument("--fuzzy", action="store_true", help="allow one-edit anchor matches")
+    matching.add_argument("--bare", action="store_true", help="append terms without the (related: ...) marker")
     provider = _Parser(add_help=False)
     provider.add_argument(
         "--provider",
         default=os.environ.get("ONTORAG_PROVIDER", DeterministicEmbedder.name),
         help=f"embedding provider: {DeterministicEmbedder.name!r} or an http(s) URL",
     )
+    rag = _Parser(add_help=False, parents=[provider, matching])
+    rag.add_argument("--store", required=True, help="store JSONL path (its matrix is PATH.npy)")
+    rag.add_argument(
+        "--llm",
+        default=os.environ.get("ONTORAG_LLM", EchoLlm.name),
+        help=f"completion provider: {EchoLlm.name!r} or an http(s) URL",
+    )
+    rag.add_argument("--k", type=int, default=DEFAULT_K, help=f"chunks to retrieve (default: {DEFAULT_K})")
+    # infiltrate and eval need a dictionary; ask and chat take one if given.
+    needs_dict = _Parser(add_help=False)
+    needs_dict.add_argument("--dict", required=True, help="dictionary JSON from 'dict'")
+    takes_dict = _Parser(add_help=False)
+    takes_dict.add_argument("--dict", help="dictionary JSON from 'dict'")
 
-    p = subs.add_parser("align", help="extract equivalence mappings between two ontologies")
-    p.add_argument("--source", required=True, help="source ontology (.obo or .json)")
-    p.add_argument("--target", required=True, help="target ontology (.obo or .json)")
+    p = subs.add_parser(
+        "align", help="extract equivalence mappings between two ontologies", parents=[ontologies, scorer]
+    )
     p.add_argument("--out", required=True, help="mapping TSV to write")
     p.add_argument("--threshold", type=float, default=DEFAULT_THRESHOLD, help=f"acceptance threshold (default: {DEFAULT_THRESHOLD})")
     p.add_argument("--no-blocking", action="store_true", help="score every cross pair, skip token blocking")
-    _add_scorer_args(p)
     p.set_defaults(func=cmd_align)
 
-    p = subs.add_parser("subsume", help="build a labeled subsumption corpus from mappings")
-    p.add_argument("--source", required=True)
-    p.add_argument("--target", required=True)
+    p = subs.add_parser("subsume", help="build a labeled subsumption corpus from mappings", parents=[ontologies])
     p.add_argument("--mappings", required=True, help="mapping TSV from 'align'")
     p.add_argument("--out", required=True, help="corpus TSV to write")
     p.add_argument("--negatives", type=int, default=1, help="negatives per positive (default: 1)")
     p.add_argument("--seed", type=int, default=0, help="negative sampling seed (default: 0)")
     p.set_defaults(func=cmd_subsume)
 
-    p = subs.add_parser("dict", help="score a corpus and emit a subsumption dictionary")
-    p.add_argument("--source", required=True)
-    p.add_argument("--target", required=True)
+    p = subs.add_parser(
+        "dict", help="score a corpus and emit a subsumption dictionary", parents=[ontologies, scorer]
+    )
     p.add_argument("--corpus", required=True, help="corpus TSV from 'subsume'")
     p.add_argument("--out", required=True, help="dictionary JSON to write")
     p.add_argument("--accepted", help="also write accepted pairs as TSV")
@@ -350,17 +351,13 @@ def build_parser() -> _Parser:
         default=DEFAULT_MAX_PER_ANCHOR,
         help=f"labels kept per anchor (default: {DEFAULT_MAX_PER_ANCHOR})",
     )
-    _add_scorer_args(p)
     p.set_defaults(func=cmd_dict)
 
-    p = subs.add_parser("infiltrate", help="augment prompts with narrower terms")
-    p.add_argument("--dict", required=True, help="dictionary JSON from 'dict'")
+    p = subs.add_parser("infiltrate", help="augment prompts with narrower terms", parents=[needs_dict, matching])
     prompts = p.add_mutually_exclusive_group()
     prompts.add_argument("--prompt", help="single prompt (default: read lines from stdin)")
     prompts.add_argument("--in", dest="infile", help="read prompts, one per line")
     p.add_argument("--out", help="write augmented prompts here instead of stdout")
-    p.add_argument("--fuzzy", action="store_true", help="allow one-edit anchor matches")
-    p.add_argument("--bare", action="store_true", help="append terms without the (related: ...) marker")
     p.add_argument(
         "--max-append",
         type=int,
@@ -378,19 +375,16 @@ def build_parser() -> _Parser:
     p.add_argument("--overlap", type=int, default=CHUNK_OVERLAP, help=f"chunk overlap (default: {CHUNK_OVERLAP})")
     p.set_defaults(func=cmd_ingest)
 
-    p = subs.add_parser("ask", help="answer one question against a store", parents=[provider])
-    _add_rag_args(p)
+    p = subs.add_parser("ask", help="answer one question against a store", parents=[rag, takes_dict])
     p.add_argument("--question", required=True)
     p.add_argument("--show-context", action="store_true", help="print augmentation and hits to stderr")
     p.set_defaults(func=cmd_ask)
 
-    p = subs.add_parser("chat", help="interactive loop; /quit or EOF ends it", parents=[provider])
-    _add_rag_args(p)
+    p = subs.add_parser("chat", help="interactive loop; /quit or EOF ends it", parents=[rag, takes_dict])
     p.add_argument("--log", help="append turns as JSONL here")
     p.set_defaults(func=cmd_chat)
 
-    p = subs.add_parser("eval", help="measure hallucination with and without infiltration", parents=[provider])
-    _add_rag_args(p, with_dict_required=True)
+    p = subs.add_parser("eval", help="measure hallucination with and without infiltration", parents=[rag, needs_dict])
     p.add_argument("--records", required=True, help="JSONL of prompt and ground_truth")
     p.add_argument("--out", help="write the summary TSV here instead of stdout")
     p.set_defaults(func=cmd_eval)
@@ -409,9 +403,9 @@ def main(argv: list[str] | None = None) -> int:
     except OntoRagError as exc:
         print(f"{exc.prefix}: {exc}", file=sys.stderr)
         return exc.exit_code
-    except (FileNotFoundError, IsADirectoryError, PermissionError) as exc:
-        name = getattr(exc, "filename", None) or exc
-        print(f"error: cannot access {name}", file=sys.stderr)
+    except OSError as exc:
+        where = f"cannot access {exc.filename}: " if exc.filename else ""
+        print(f"error: {where}{exc.strerror or exc}", file=sys.stderr)
         return 2
     except SystemExit as exc:
         code = exc.code

@@ -16,7 +16,7 @@ from typing import IO, Protocol, Sequence
 
 from .errors import DataError, ProviderError
 from .infiltrate import AugmentedPrompt, infiltrate
-from .ragstore import DEFAULT_K, EmbeddingProvider, VectorStore, _now, _post_json, retrieve
+from .ragstore import DEFAULT_K, EmbeddingProvider, VectorStore, post_json, retrieve, timestamp
 from .subsume import SubsumptionDictionary
 
 SYSTEM_PREFIX = "Answer using only the context below.\nContext:\n"
@@ -53,16 +53,16 @@ class HttpLlm:
 
     def complete(self, system: str, user: str) -> str:
         messages = [{"role": "system", "content": system}, {"role": "user", "content": user}]
-        payload = _post_json(
-            self.url, {"model": self.model, "messages": messages}, "LLM_API_KEY", self.timeout, "completion"
-        )
-        try:
-            content = payload["choices"][0]["message"]["content"]
-        except (KeyError, IndexError, TypeError) as exc:
-            raise ProviderError(f"malformed completion response from {self.url}: {exc}") from exc
-        if not isinstance(content, str):
-            raise ProviderError(f"completion response from {self.url} has non-text content")
-        return content
+        body = {"model": self.model, "messages": messages}
+        return post_json(self.url, body, "LLM_API_KEY", self.timeout, "completion", _content)
+
+
+def _content(payload) -> str:
+    """The text of a chat-completions reply."""
+    content = payload["choices"][0]["message"]["content"]
+    if not isinstance(content, str):
+        raise TypeError("non-text content")
+    return content
 
 
 def render_request(question: str, context_texts: Sequence[str]) -> tuple[str, str]:
@@ -176,7 +176,7 @@ def chat_repl(
                 print(f"provider error: {exc}", file=sys.stderr, flush=True)
                 continue
             turn = ChatTurn(
-                ts=_now(),
+                ts=timestamp(),
                 question=result.question,
                 augmented=result.augmented,
                 answer=result.response,

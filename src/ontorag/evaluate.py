@@ -19,6 +19,7 @@ import numpy as np
 
 from .engine import LlmProvider, answer
 from .errors import DataError
+from .parse import numbered_lines, read_text
 from .ragstore import DEFAULT_K, EmbeddingProvider, VectorStore
 from .subsume import SubsumptionDictionary
 
@@ -121,12 +122,8 @@ class EvalRecord:
 
 def read_records(path: str) -> list[EvalRecord]:
     """Read JSONL records of {"prompt", "ground_truth"}."""
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().split("\n")
     records: list[EvalRecord] = []
-    for lineno, line in enumerate(lines, start=1):
-        if not line.strip():
-            continue
+    for lineno, line in numbered_lines(read_text(path)):
         try:
             row = json.loads(line)
         except json.JSONDecodeError as exc:

@@ -1,5 +1,5 @@
-"""Ontology readers and writer: an OBO 1.4 flat-file subset plus a JSON
-interchange format.
+"""Ontology readers and writer, an OBO 1.4 flat-file subset plus a JSON
+interchange format, and the reader every input file goes through.
 
 The OBO reader only consumes what the pipeline needs from a `[Term]`
 stanza: `id:`, `name:`, `is_a:`, `synonym:` and `is_obsolete:`. Everything
@@ -12,11 +12,54 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass, field
+from typing import Iterator
 
-from .errors import ParseError
+from .errors import DataError, ParseError
 from .model import Ontology, OntologyClass
 
 OBO_PURL_PREFIX = "http://purl.obolibrary.org/obo/"
+
+
+def read_text(path: str) -> str:
+    """The text of the UTF-8 file at ``path``, newlines translated as ``open`` does.
+
+    A file that is not UTF-8 is a :class:`DataError` naming ``path`` and the
+    line of its first bad byte.
+    """
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            return handle.read()
+    except UnicodeDecodeError as exc:
+        # read() decodes the whole file in one call, so exc.object is its bytes.
+        line = exc.object.count(b"\n", 0, exc.start) + 1
+        raise DataError(f"{path}:{line}: not UTF-8 text") from None
+
+
+def numbered_lines(text: str) -> list[tuple[int, str]]:
+    """(1-based line number, line) for each line of ``text`` that is not blank.
+
+    Lines end at ``"\n"`` only, so a form feed or U+2028 stays inside its line
+    and the numbers are those an editor or ``grep -n`` shows.
+    """
+    return [(n, line) for n, line in enumerate(text.split("\n"), start=1) if line.strip()]
+
+
+def read_tsv(path: str, header: str, what: str) -> Iterator[tuple[int, list[str]]]:
+    """(line number, fields) for each row below ``header`` in the TSV file at ``path``.
+
+    A first line other than ``header`` is a DataError about the ``what``
+    header, and so is a row without the header's field count. Rows are checked
+    as they are yielded, so the first bad line is the one reported.
+    """
+    lines = numbered_lines(read_text(path))
+    if not lines or lines[0][1] != header:
+        raise DataError(f"{path}: missing {what} header")
+    width = header.count("\t") + 1
+    for lineno, line in lines[1:]:
+        fields = line.split("\t")
+        if len(fields) != width:
+            raise DataError(f"{path}:{lineno}: expected {width} tab-separated fields")
+        yield lineno, fields
 
 
 @dataclass
@@ -80,17 +123,14 @@ def parse_obo(text: str) -> ParseReport:
     `id:` is skipped with one. Raises :class:`ParseError` when no term
     survives.
     """
-    lines = text.splitlines()
     warnings: list[tuple[int, str]] = []
     ontology_id = "obo"
 
     stanzas: list[_Stanza] = []
     current: _Stanza | None = None
     in_header = True
-    for lineno, raw in enumerate(lines, start=1):
+    for lineno, raw in numbered_lines(text):
         line = raw.strip()
-        if not line:
-            continue
         if line.startswith("["):
             in_header = False
             current = _Stanza(lineno) if line == "[Term]" else None
@@ -231,8 +271,7 @@ def parse_ontology_file(path: str) -> ParseReport:
 
     A :class:`ParseError` names ``path``.
     """
-    with open(path, "r", encoding="utf-8") as handle:
-        text = handle.read()
+    text = read_text(path)
     lower = path.lower()
     try:
         if lower.endswith(".json") or (not lower.endswith(".obo") and text.lstrip().startswith("{")):

@@ -18,7 +18,7 @@ import math
 import os
 import time
 from dataclasses import dataclass, field
-from typing import Protocol, Sequence
+from typing import Any, Callable, Protocol, Sequence
 
 import numpy as np
 import zlib
@@ -26,6 +26,7 @@ import zlib
 from ._kernels import cosine_scan, top_k
 from .errors import DataError, ProviderError
 from .model import label_tokens
+from .parse import numbered_lines, read_text
 
 CHUNK_SIZE = 512
 CHUNK_OVERLAP = 64
@@ -84,12 +85,13 @@ class DeterministicEmbedder:
         return out
 
 
-def _post_json(url: str, body: dict, key_var: str, timeout: float, what: str):
-    """POST ``body`` as JSON to ``url`` and return the decoded JSON reply.
+def post_json(url: str, body: dict, key_var: str, timeout: float, what: str, read: Callable[[Any], Any]):
+    """POST ``body`` as JSON to ``url`` and return ``read`` of the decoded JSON reply.
 
     Sends ``Authorization: Bearer $key_var`` when that variable is set. A URL
-    that is not http(s), a failed request, a status other than 200 or a reply
-    that is not JSON is a ProviderError about the ``what`` request.
+    that is not http(s), a failed request, a status other than 200, a reply
+    that is not JSON or one that ``read`` rejects with a KeyError, IndexError,
+    TypeError or ValueError is a ProviderError about the ``what`` request.
     """
     import http.client
     import urllib.error
@@ -114,8 +116,8 @@ def _post_json(url: str, body: dict, key_var: str, timeout: float, what: str):
     if status != 200:
         raise ProviderError(f"{what} request to {url} returned status {status}")
     try:
-        return json.loads(raw)
-    except ValueError as exc:
+        return read(json.loads(raw))
+    except (KeyError, IndexError, TypeError, ValueError) as exc:
         raise ProviderError(f"malformed {what} response from {url}: {exc}") from exc
 
 
@@ -147,13 +149,11 @@ class HttpEmbeddingProvider:
         self.name = f"http:{url}"
 
     def _embed_batch(self, batch: Sequence[str]) -> list[list[float]]:
-        payload = _post_json(
-            self.url, {"model": self.model, "input": list(batch)}, "EMBED_API_KEY", self.timeout, "embedding"
+        body = {"model": self.model, "input": list(batch)}
+        rows = post_json(
+            self.url, body, "EMBED_API_KEY", self.timeout, "embedding",
+            lambda reply: [item["embedding"] for item in reply["data"]],
         )
-        try:
-            rows = [item["embedding"] for item in payload["data"]]
-        except (KeyError, TypeError) as exc:
-            raise ProviderError(f"malformed embedding response from {self.url}: {exc}") from exc
         if len(rows) != len(batch):
             raise ProviderError(
                 f"embedding response from {self.url} has {len(rows)} rows for {len(batch)} inputs"
@@ -252,7 +252,7 @@ class VectorStore:
 
     @classmethod
     def new(cls, provider: EmbeddingProvider) -> "VectorStore":
-        return cls(dim=provider.dim, provider_name=provider.name, created=_now())
+        return cls(dim=provider.dim, provider_name=provider.name, created=timestamp())
 
     def __len__(self) -> int:
         return len(self.chunks)
@@ -341,8 +341,7 @@ class VectorStore:
     @classmethod
     def load(cls, path: str) -> "VectorStore":
         """Read the JSONL at ``path`` and its ``.npy``; a mismatched pair is a DataError."""
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = [(n, line) for n, line in enumerate(fh.read().split("\n"), start=1) if line]
+        lines = numbered_lines(read_text(path))
         if not lines:
             raise DataError(f"{path}: empty store file")
         header_no, header_line = lines[0]
@@ -436,7 +435,8 @@ def _read_matrix(path: str, crc: int, shape: tuple[int, int]) -> np.ndarray:
     return matrix
 
 
-def _now() -> int:
+def timestamp() -> int:
+    """Seconds since the epoch, or ``$SOURCE_DATE_EPOCH`` when set, for reproducible files."""
     stamp = os.environ.get("SOURCE_DATE_EPOCH")
     if stamp:
         try:

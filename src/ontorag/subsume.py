@@ -20,6 +20,7 @@ from typing import Iterable, Sequence
 from .align import EQUIV, SUBSUMED_BY, EquivalenceMapping, SynonymyScorer
 from .errors import DataError
 from .model import ClassIri, Ontology, label_tokens, subclass_closure
+from .parse import read_text, read_tsv
 
 DEFAULT_SUBSUME_THRESHOLD = 0.5
 DEFAULT_MAX_PER_ANCHOR = 3
@@ -189,17 +190,8 @@ def render_corpus(corpus: Iterable[SubsumptionPair]) -> str:
 
 def read_corpus(path: str) -> list[SubsumptionPair]:
     """Read a labeled corpus in the form :func:`render_corpus` produces."""
-    with open(path, "r", encoding="utf-8") as fh:
-        raw = fh.read()
-    lines = [(n, line) for n, line in enumerate(raw.split("\n"), start=1) if line]
-    if not lines or lines[0][1] != _CORPUS_HEADER:
-        raise DataError(f"{path}: missing corpus header")
     out: list[SubsumptionPair] = []
-    for lineno, line in lines[1:]:
-        fields = line.split("\t")
-        if len(fields) != 3:
-            raise DataError(f"{path}:{lineno}: expected 3 tab-separated fields")
-        concept, candidate, label_text = fields
+    for lineno, (concept, candidate, label_text) in read_tsv(path, _CORPUS_HEADER, "corpus"):
         if label_text not in ("0", "1"):
             raise DataError(f"{path}:{lineno}: label must be 0 or 1, got {label_text!r}")
         out.append(SubsumptionPair(concept, candidate, label_text == "1"))
@@ -208,8 +200,7 @@ def read_corpus(path: str) -> list[SubsumptionPair]:
 
 def read_dictionary(path: str) -> SubsumptionDictionary:
     """Read a dictionary in the form :meth:`SubsumptionDictionary.to_json` produces."""
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
+    text = read_text(path)
     try:
         return SubsumptionDictionary.from_json(text)
     except DataError as exc:

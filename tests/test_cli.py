@@ -266,6 +266,49 @@ class TestExitCodes:
         assert code == 2
         assert "absent.obo" in err
 
+    # BAD in argv stands for a copy of `valid` with the byte 0xE9 at the end of line 3.
+    @pytest.mark.parametrize(
+        "valid, argv",
+        [
+            ("symptoms.obo", ["align", "--source", "BAD", "--target", "clinical_signs.json", "--out", "x.tsv"]),
+            ("clinical_signs.json", ["align", "--source", "symptoms.obo", "--target", "BAD", "--out", "x.tsv"]),
+            ("mappings.tsv", ["subsume", "--source", "symptoms.obo", "--target", "clinical_signs.json",
+                              "--mappings", "BAD", "--out", "x.tsv"]),
+            ("corpus.tsv", ["dict", "--source", "symptoms.obo", "--target", "clinical_signs.json",
+                            "--corpus", "BAD", "--out", "x.json"]),
+            ("dict.json", ["infiltrate", "--dict", "BAD", "--prompt", "cough"]),
+            ("questions.jsonl", ["eval", "--store", "store.jsonl", "--dict", "dict.json", "--records", "BAD"]),
+            ("store.jsonl", ["ask", "--store", "BAD", "--question", "cough"]),
+            ("handbook.txt", ["ingest", "--store", "new.jsonl", "--doc", "BAD"]),
+            ("prompts.txt", ["infiltrate", "--dict", "dict.json", "--in", "BAD"]),
+        ],
+        ids=["obo", "json-ontology", "mappings", "corpus", "dict", "records", "store", "doc", "in"],
+    )
+    def test_input_that_is_not_utf8_names_its_line(self, capsys, workdir, valid, argv):
+        _build_pipeline(capsys, workdir)
+        (workdir / "prompts.txt").write_text("cough\nfever\nnausea\n", encoding="utf-8")
+        lines = (workdir / valid).read_bytes().split(b"\n")
+        lines[2] += b"\xe9"
+        bad = "bad" + os.path.splitext(valid)[1]
+        (workdir / bad).write_bytes(b"\n".join(lines))
+        code, _, err = run(capsys, *[bad if arg == "BAD" else arg for arg in argv])
+        assert code == 2
+        assert err == f"error: {bad}:3: not UTF-8 text\n"
+
+    def test_input_below_a_file_is_data_error(self, capsys, workdir):
+        code, _, err = run(capsys, "ingest", "--store", "s.jsonl", "--doc", "handbook.txt/x")
+        assert code == 2
+        assert err.startswith("error: cannot access handbook.txt/x: ")
+
+    def test_output_in_missing_directory_names_the_output(self, capsys, workdir):
+        code, _, err = run(
+            capsys, "align", "--source", "symptoms.obo", "--target", "clinical_signs.json",
+            "--out", os.path.join("nodir", "x.tsv"),
+        )
+        assert code == 2
+        assert err.startswith(f"error: cannot access {os.path.join('nodir', 'x.tsv')}: ")
+        assert not list(workdir.rglob(".ontorag-*"))
+
     def test_mistyped_json_ontology_is_data_error(self, capsys, workdir):
         doc = {"id": "x", "classes": [{"iri": "http://x/A", "label": 5}]}
         (workdir / "bad.json").write_text(json.dumps(doc), encoding="utf-8")
@@ -402,8 +445,8 @@ def test_json_warnings_name_the_class_entry(capsys, workdir):
 
 
 def test_parser_defines_each_option_once(monkeypatch):
-    # --provider and the RAG options have one definition each; a copy per
-    # subcommand would push the count up
+    # Every option that subcommands share has one definition, in a parent
+    # parser; a copy per subcommand would push the count up
     calls = []
     real = argparse._ActionsContainer.add_argument
 
@@ -413,7 +456,7 @@ def test_parser_defines_each_option_once(monkeypatch):
 
     monkeypatch.setattr(argparse._ActionsContainer, "add_argument", count)
     build_parser()
-    assert len(calls) <= 72
+    assert len(calls) <= 49
 
 
 def test_env_defaults_are_read(capsys, workdir, monkeypatch):
@@ -438,7 +481,7 @@ def test_import_leaves_out_http_machinery(child_pythonpath):
     # Only HTTP providers need these; offline commands should not pay for them.
     modules = ("concurrent.futures", "requests", "urllib.request", "http.client")
     probe = f"import sys, ontorag.cli; print([m for m in {modules!r} if m in sys.modules])"
-    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, encoding="utf-8")
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == "[]"
 
@@ -453,7 +496,7 @@ def test_http_provider_runs_without_requests(http_stub, child_pythonpath):
     http_stub.reply = lambda seen: (
         200, {"data": [{"embedding": [float(len(t))] * 8} for t in seen.body["input"]]}
     )
-    out = subprocess.run([sys.executable, "-c", probe, http_stub.url], capture_output=True, text=True)
+    out = subprocess.run([sys.executable, "-c", probe, http_stub.url], capture_output=True, encoding="utf-8")
     assert out.returncode == 0, out.stderr
     assert json.loads(out.stdout) == [[1.0] * 8, [2.0] * 8]
     assert [seen.body["input"] for seen in http_stub.received] == [["a", "bb"]]
@@ -461,7 +504,7 @@ def test_http_provider_runs_without_requests(http_stub, child_pythonpath):
 
 def test_console_script_smoke(workdir, child_pythonpath):
     out = subprocess.run(
-        [sys.executable, "-m", "ontorag.cli", "--version"], capture_output=True, text=True
+        [sys.executable, "-m", "ontorag.cli", "--version"], capture_output=True, encoding="utf-8"
     )
     assert out.returncode == 0
 
@@ -472,7 +515,7 @@ def test_console_script_smoke(workdir, child_pythonpath):
             "--out", "sub.tsv",
         ],
         capture_output=True,
-        text=True,
+        encoding="utf-8",
         cwd=str(workdir),
     )
     assert pipeline.returncode == 0, pipeline.stderr

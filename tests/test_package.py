@@ -41,6 +41,6 @@ def test_namespace_is_only_submodules():
 def test_numpy_free_modules_do_not_load_numpy(child_pythonpath):
     # Exporting the fixtures or parsing an ontology needs no array code.
     probe = "import sys, ontorag.fixtures, ontorag.parse, ontorag.model, ontorag.errors; print('numpy' in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, encoding="utf-8")
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == "False"

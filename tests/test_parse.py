@@ -3,7 +3,7 @@ import re
 
 import pytest
 
-from ontorag.errors import ParseError
+from ontorag.errors import DataError, ParseError
 from ontorag.fixtures import fixture_text
 from ontorag.model import subclass_closure
 from ontorag.parse import (
@@ -11,6 +11,7 @@ from ontorag.parse import (
     parse_json_ontology,
     parse_obo,
     parse_ontology_file,
+    read_text,
     serialize_ontology,
 )
 
@@ -85,6 +86,21 @@ name: one again
     assert cls.parents == frozenset()
     total_lines = text.count("\n") + 1
     assert all(1 <= lineno <= total_lines for lineno, _ in report.warnings)
+
+
+def test_parse_obo_lines_end_at_newline_only():
+    # A form feed and U+2028 are line breaks to str.splitlines, not to grep -n.
+    text = "ontology: ff\n\n[Term]\nid: FF:1\nname: a\x0cb\u2028c\n\n[Term]\nname: no id\n"
+    report = parse_obo(text)
+    assert report.ontology.get("http://purl.obolibrary.org/obo/FF_1").label == "a\x0cb\u2028c"
+    assert report.warnings == [(7, "term stanza without id: skipped")]
+
+
+def test_read_text_locates_a_bad_byte_past_the_first_buffer(tmp_path):
+    path = tmp_path / "big.txt"
+    path.write_bytes(b"line\r\n" * 20_000 + b"caf\xe9\n")
+    with pytest.raises(DataError, match=rf"^{re.escape(str(path))}:20001: not UTF-8 text$"):
+        read_text(str(path))
 
 
 def test_parse_obo_trailing_modifiers():

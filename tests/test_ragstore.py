@@ -637,7 +637,7 @@ class TestHttpEmbeddingProvider:
 
         pools, threads = [], []
         make_pool = concurrent.futures.ThreadPoolExecutor
-        post_json = ragstore._post_json
+        post_json = ragstore.post_json
 
         def recording_pool(max_workers):
             pools.append(max_workers)
@@ -648,7 +648,7 @@ class TestHttpEmbeddingProvider:
             return post_json(*args)
 
         monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", recording_pool)
-        monkeypatch.setattr(ragstore, "_post_json", recording_post)
+        monkeypatch.setattr(ragstore, "post_json", recording_post)
         http_stub.reply = _length_rows
         provider = HttpEmbeddingProvider(http_stub.url, dim=8, batch_size=2)
         provider.embed(["a", "bb"])
@@ -718,9 +718,9 @@ class TestHttpEmbeddingProvider:
 
 def test_now_honors_source_date_epoch(monkeypatch):
     monkeypatch.setenv("SOURCE_DATE_EPOCH", "12345")
-    assert ragstore._now() == 12345
+    assert ragstore.timestamp() == 12345
     monkeypatch.setenv("SOURCE_DATE_EPOCH", "not a number")
     with pytest.raises(DataError):
-        ragstore._now()
+        ragstore.timestamp()
     monkeypatch.delenv("SOURCE_DATE_EPOCH")
-    assert ragstore._now() > 0
+    assert ragstore.timestamp() > 0
