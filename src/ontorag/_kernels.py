@@ -1,9 +1,11 @@
-"""Hot kernels: Levenshtein distance, dense cosine scans and top-k ranking.
+"""Hot kernels: Levenshtein distance, pairwise cosine, dense cosine scans and top-k ranking.
 
-Each operation has exactly one implementation. The cosine scan is one NumPy
-matrix-vector product. Top-k ranking finds the k-th best score with one
-``np.partition`` (introselect, O(n)) and sorts only the rows that reach it, so
-a store of any size takes the same path. Levenshtein is the Myers/Hyyrö
+Each operation has exactly one implementation. The pairwise cosine returns
+None for a zero-norm vector, and each caller says what that means. The cosine
+scan is one NumPy matrix-vector product, and a zero norm on either side, a
+zero query included, scores 0. Top-k ranking finds the k-th best score with
+one ``np.partition`` (introselect, O(n)) and sorts only the rows that reach
+it, so a store of any size takes the same path. Levenshtein is the Myers/Hyyrö
 bit-parallel algorithm (Myers, JACM 1999; Hyyrö 2003) on Python ints: one
 column of the edit-distance table is held as bit vectors of vertical +1/-1
 deltas and updated with a handful of word operations per character. Python
@@ -21,10 +23,20 @@ from operator import itemgetter
 import numpy as np
 
 
+def cosine(a: np.ndarray, b: np.ndarray) -> float | None:
+    """Cosine of two 1-D vectors, or None when either has norm 0."""
+    na = float(np.linalg.norm(a))
+    nb = float(np.linalg.norm(b))
+    if na == 0.0 or nb == 0.0:
+        return None
+    return float(np.dot(a, b) / (na * nb))
+
+
 def cosine_scan(matrix: np.ndarray, norms: np.ndarray, query: np.ndarray, qnorm: float) -> np.ndarray:
-    """Cosine of `query` against every matrix row; zero-norm rows score 0."""
+    """Cosine of `query` against every matrix row; a zero norm on either side scores 0."""
+    den = norms * qnorm
     out = np.zeros(matrix.shape[0], dtype=np.float64)
-    return np.divide(matrix @ query, norms * qnorm, out=out, where=norms > 0.0)
+    return np.divide(matrix @ query, den, out=out, where=den > 0.0)
 
 
 def top_k(scores: np.ndarray, k: int) -> list[tuple[int, float]]:
@@ -61,8 +73,6 @@ def levenshtein(a: str, b: str, cutoff: int | None = None) -> int:
     # The bound below starts at the length difference and never falls.
     if len(a) - len(b) > cutoff:
         return cutoff + 1
-    if not b:
-        return len(a)
     # The longer string is the pattern (one bit per character), so the loop
     # runs over the shorter one.
     peq: dict[str, int] = {}

@@ -9,13 +9,13 @@ literal relation tag ``EQUIV``. Scoring is pluggable; the default
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import groupby
+from itertools import groupby, product
 from operator import itemgetter
 from typing import Iterable, Protocol, Sequence
 
 import numpy as np
 
-from ._kernels import levenshtein
+from ._kernels import cosine, levenshtein
 from .errors import DataError, ProviderError
 from .model import ClassIri, Ontology, OntologyClass, label_tokens, normalize_label
 from .parse import read_tsv
@@ -118,7 +118,7 @@ class LexicalScorer:
 
 
 class EmbeddingScorer:
-    """Scores label pairs by cosine of their embeddings, clamped to [0, 1].
+    """Scores label pairs by cosine of their embeddings, clamped to [0, 1]; a zero vector scores 0.
 
     ``provider`` is any object with ``embed(texts) -> ndarray``. Vectors are
     kept per text, so each distinct text is embedded once per scorer; a
@@ -136,16 +136,8 @@ class EmbeddingScorer:
         if unseen:
             rows = np.asarray(self._provider.embed(unseen), dtype=np.float64)
             cache.update(zip(unseen, rows, strict=True))
-        return [self._cosine(cache[a], cache[b]) for a, b in pairs]
-
-    @staticmethod
-    def _cosine(va: np.ndarray, vb: np.ndarray) -> float:
-        na = float(np.linalg.norm(va))
-        nb = float(np.linalg.norm(vb))
-        if na == 0.0 or nb == 0.0:
-            return 0.0
-        cos = float(np.dot(va, vb) / (na * nb))
-        return min(1.0, max(0.0, cos))
+        cosines = (cosine(cache[a], cache[b]) for a, b in pairs)
+        return [0.0 if cos is None else min(1.0, max(0.0, cos)) for cos in cosines]
 
 
 @dataclass(frozen=True)
@@ -231,11 +223,7 @@ def align(
     if use_blocking:
         pairs = candidate_pairs(source, target)
     else:
-        pairs = [
-            (s_iri, t_iri)
-            for s_iri in source.sorted_iris()
-            for t_iri in target.sorted_iris()
-        ]
+        pairs = list(product(source.sorted_iris(), target.sorted_iris()))
     scores = _score_pairs(scorer, source, target, pairs, threshold)
     return [
         EquivalenceMapping(source=s_iri, target=t_iri, score=score)

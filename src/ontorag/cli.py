@@ -19,8 +19,8 @@ from .align import DEFAULT_THRESHOLD, EmbeddingScorer, LexicalScorer, align, rea
 from .engine import EchoLlm, HttpLlm, answer, chat_repl
 from .errors import DataError, OntoRagError, UsageError
 from .evaluate import evaluate_batch, read_records, render_summary_tsv
-from .infiltrate import MAX_APPEND_TOTAL, infiltrate
-from .parse import numbered_lines, parse_ontology_file, read_text
+from .infiltrate import infiltrate
+from .parse import numbered_lines, parse_ontology_file, read_text, stdin_lines
 from .ragstore import (
     CHUNK_OVERLAP,
     CHUNK_SIZE,
@@ -93,7 +93,7 @@ def _load_ontology(path: str):
 
 
 def _from_spec(spec: str, offline_cls, http_cls, what: str, **kwargs):
-    """The provider named by ``spec``: ``offline_cls.name``, an http(s) URL, or ``http:`` and a URL.
+    """The provider named by ``spec``: ``offline_cls.name`` or an http(s) URL.
 
     ``kwargs`` go to either constructor.
     """
@@ -102,8 +102,6 @@ def _from_spec(spec: str, offline_cls, http_cls, what: str, **kwargs):
         return offline_cls(**kwargs)
     if spec.startswith(("http://", "https://")):
         return http_cls(spec, **kwargs)
-    if spec.startswith("http:"):
-        return http_cls(spec[len("http:") :], **kwargs)
     raise UsageError(f"unknown {what} {spec!r}: use {offline!r} or an http(s) URL")
 
 
@@ -114,7 +112,10 @@ def _make_embedder(spec: str, dim: int):
 def _make_scorer(spec: str, dim: int):
     if spec == "lexical":
         return LexicalScorer()
-    return EmbeddingScorer(_make_embedder(spec, dim))
+    try:
+        return EmbeddingScorer(_make_embedder(spec, dim))
+    except UsageError:
+        raise UsageError(f"unknown scorer {spec!r}: use 'lexical', {DeterministicEmbedder.name!r} or an http(s) URL") from None
 
 
 def _make_llm(spec: str):
@@ -188,14 +189,11 @@ def cmd_infiltrate(args: argparse.Namespace) -> int:
     if args.prompt is not None:
         prompts = [args.prompt]
     else:
-        text = read_text(args.infile) if args.infile is not None else sys.stdin.read()
+        text = read_text(args.infile) if args.infile is not None else "".join(stdin_lines())
         prompts = [line for _, line in numbered_lines(text)]
     if not prompts:
         raise DataError("no prompts to infiltrate")
-    results = [
-        infiltrate(p, dictionary, fuzzy=args.fuzzy, bare=args.bare, max_append_total=args.max_append)
-        for p in prompts
-    ]
+    results = [infiltrate(p, dictionary, fuzzy=args.fuzzy, bare=args.bare) for p in prompts]
     body = "\n".join(r.augmented for r in results) + "\n"
     changed = sum(1 for r in results if r.augmented != r.original)
     _write_output(args.out, body, f"infiltrated {changed} of {len(results)} prompts")
@@ -248,7 +246,7 @@ def cmd_chat(args: argparse.Namespace) -> int:
         provider,
         llm,
         dictionary,
-        sys.stdin,
+        stdin_lines(),
         sys.stdout,
         k=args.k,
         log_path=args.log,
@@ -358,12 +356,6 @@ def build_parser() -> _Parser:
     prompts.add_argument("--prompt", help="single prompt (default: read lines from stdin)")
     prompts.add_argument("--in", dest="infile", help="read prompts, one per line")
     p.add_argument("--out", help="write augmented prompts here instead of stdout")
-    p.add_argument(
-        "--max-append",
-        type=int,
-        default=MAX_APPEND_TOTAL,
-        help=f"append at most this many terms (default: {MAX_APPEND_TOTAL})",
-    )
     p.set_defaults(func=cmd_infiltrate)
 
     p = subs.add_parser("ingest", help="chunk and embed documents into a store", parents=[provider])

@@ -12,7 +12,7 @@ import contextlib
 import json
 import sys
 from dataclasses import asdict, dataclass
-from typing import IO, Protocol, Sequence
+from typing import IO, Iterable, Protocol, Sequence
 
 from .errors import DataError, ProviderError
 from .infiltrate import AugmentedPrompt, infiltrate
@@ -145,7 +145,7 @@ def chat_repl(
     provider: EmbeddingProvider,
     llm: LlmProvider,
     dictionary: SubsumptionDictionary | None,
-    input_stream: IO[str],
+    input_stream: Iterable[str],
     output_stream: IO[str],
     k: int = DEFAULT_K,
     log_path: str | None = None,

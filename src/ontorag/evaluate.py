@@ -17,6 +17,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
+from ._kernels import cosine
 from .engine import LlmProvider, answer
 from .errors import DataError
 from .parse import numbered_lines, read_text
@@ -45,12 +46,10 @@ def _vector_pair(u, v) -> tuple[np.ndarray, np.ndarray]:
 
 def cosine_similarity(u, v) -> float:
     """Cosine of the angle between two vectors, scaled to a percentage."""
-    a, b = _vector_pair(u, v)
-    na = float(np.linalg.norm(a))
-    nb = float(np.linalg.norm(b))
-    if na == 0.0 or nb == 0.0:
+    cos = cosine(*_vector_pair(u, v))
+    if cos is None:
         raise DataError("cosine similarity undefined for a zero-norm vector")
-    return float(np.dot(a, b) / (na * nb)) * 100.0
+    return cos * 100.0
 
 
 def dot_product(u, v) -> float:
@@ -74,13 +73,9 @@ class SimilarityReport(NamedTuple):
 _MEASURES = (MEASURE_COSINE, MEASURE_DOT, MEASURE_EUCLIDEAN)  # SimilarityReport's field order
 
 
-def _report(u, v) -> SimilarityReport:
+def similarity_report(u, v) -> SimilarityReport:
+    """The three measures between a response vector ``u`` and a reference vector ``v``."""
     return SimilarityReport(cosine_similarity(u, v), dot_product(u, v), euclidean_distance(u, v))
-
-
-def similarity_report(response: str, reference: str, provider: EmbeddingProvider) -> SimilarityReport:
-    """Embed both texts with ``provider`` and compare them."""
-    return _report(*provider.embed([response, reference]))
 
 
 def hallucination_index(contextual: SimilarityReport, factual: SimilarityReport) -> SimilarityReport:
@@ -200,8 +195,8 @@ def evaluate_batch(
         prompt, truth = vectors[record.prompt], vectors[record.ground_truth]
         for arm, result in enumerate(results):
             response = vectors[result.response]
-            contextual[arm].append(_report(response, prompt))
-            factual[arm].append(_report(response, truth))
+            contextual[arm].append(similarity_report(response, prompt))
+            factual[arm].append(similarity_report(response, truth))
     with_contextual, without_contextual = map(mean_report, contextual)
     with_factual, without_factual = map(mean_report, factual)
     with_index = hallucination_index(with_contextual, with_factual)

@@ -91,13 +91,12 @@ def infiltrate(
     dictionary: SubsumptionDictionary,
     fuzzy: bool = False,
     bare: bool = False,
-    max_append_total: int = MAX_APPEND_TOTAL,
 ) -> AugmentedPrompt:
     """Append narrower terms for every dictionary anchor found in ``text``.
 
     Longer anchors win overlaps; each prompt token feeds at most one anchor.
     Terms already present in the prompt (on token boundaries, case folded)
-    are skipped, as are duplicates, and at most ``max_append_total`` terms
+    are skipped, as are duplicates, and at most ``MAX_APPEND_TOTAL`` terms
     are appended. With ``bare=True`` the terms are appended as plain words
     instead of the ``(related: ...)`` marker. With ``fuzzy=True`` an n-gram
     also matches an anchor of the same word count within one edit.
@@ -108,25 +107,20 @@ def infiltrate(
     core_norm = " ".join(tokens)
     appended: list[str] = []
     appended_norms: set[str] = set()
-    for anchor in matched:
-        for term in dictionary.entries[anchor]:
-            if len(appended) >= max_append_total:
-                break
-            term_norm = " ".join(label_tokens(term))
-            if not term_norm or term_norm in appended_norms:
-                continue
-            if _word_boundary_contains(core_norm, term_norm):
-                continue
-            appended.append(term)
-            appended_norms.add(term_norm)
-        if len(appended) >= max_append_total:
+    for term in (term for anchor in matched for term in dictionary.entries[anchor]):
+        if len(appended) >= MAX_APPEND_TOTAL:
             break
-    if not appended:
-        return AugmentedPrompt(
-            original=text, augmented=text, matched=tuple(matched), appended=()
-        )
+        term_norm = " ".join(label_tokens(term))
+        if not term_norm or term_norm in appended_norms:
+            continue
+        if _word_boundary_contains(core_norm, term_norm):
+            continue
+        appended.append(term)
+        appended_norms.add(term_norm)
     base = core.rstrip()
-    if bare:
+    if not appended:
+        augmented = text
+    elif bare:
         augmented = f"{base} {' '.join(appended)}" if base else " ".join(appended)
     else:
         augmented = f"{base} {_MARKER}{', '.join(appended)})"

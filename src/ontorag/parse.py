@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import re
+import sys
 from dataclasses import dataclass, field
 from typing import Iterator
 
@@ -31,8 +32,26 @@ def read_text(path: str) -> str:
             return handle.read()
     except UnicodeDecodeError as exc:
         # read() decodes the whole file in one call, so exc.object is its bytes.
-        line = exc.object.count(b"\n", 0, exc.start) + 1
-        raise DataError(f"{path}:{line}: not UTF-8 text") from None
+        raise _not_utf8(path, exc, 1) from None
+
+
+def stdin_lines() -> Iterator[str]:
+    """The lines of standard input, each decoded as UTF-8 once read, whatever the locale.
+
+    Lines end at ``"\n"`` only. A line that is not UTF-8 is a DataError naming
+    ``<stdin>`` and its number, raised after the lines before it are yielded.
+    """
+    for lineno, raw in enumerate(sys.stdin.buffer, start=1):
+        try:
+            yield raw.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise _not_utf8("<stdin>", exc, lineno) from None
+
+
+def _not_utf8(name: str, exc: UnicodeDecodeError, first_line: int) -> DataError:
+    """The error for bytes ``exc.object`` that start on ``first_line`` of ``name``."""
+    line = first_line + exc.object.count(b"\n", 0, exc.start)
+    return DataError(f"{name}:{line}: not UTF-8 text")
 
 
 def numbered_lines(text: str) -> list[tuple[int, str]]:

@@ -205,8 +205,6 @@ def chunk_document(text: str, size: int = CHUNK_SIZE, overlap: int = CHUNK_OVERL
         raise DataError("chunk size must be >= 1")
     if not 0 <= overlap < size:
         raise DataError("chunk overlap must satisfy 0 <= overlap < size")
-    if not text:
-        return []
     step = size - overlap
     chunks: list[tuple[int, str]] = []
     start = 0
@@ -310,8 +308,6 @@ class VectorStore:
             qnorm = math.sqrt(q.dot(q))
         if not math.isfinite(qnorm):
             raise DataError("query embedding has a non-finite value or its norm overflows")
-        if qnorm == 0.0:
-            return [(chunk, 0.0) for chunk in self.chunks[:k]]
         ranked = top_k(cosine_scan(self.matrix, self.norms, q, qnorm), k)
         return [(self.chunks[i], score) for i, score in ranked]
 

@@ -158,6 +158,14 @@ def test_align_without_blocking_matches(source_onto, target_onto, fixture_mappin
     assert full == fixture_mappings
 
 
+def test_align_without_blocking_sorts_each_ontology_once(source_onto, target_onto, monkeypatch):
+    sorted_ids = []
+    real = Ontology.sorted_iris
+    monkeypatch.setattr(Ontology, "sorted_iris", lambda self: sorted_ids.append(self.id) or real(self))
+    align(source_onto, target_onto, use_blocking=False)
+    assert sorted(sorted_ids) == sorted([source_onto.id, target_onto.id])
+
+
 def test_align_wraps_scorer_errors(source_onto, target_onto):
     class Boom:
         def score_many(self, pairs, floor=0.0):

@@ -214,7 +214,8 @@ def test_bad_ingest_leaves_store_pair_alone(capsys, workdir, monkeypatch, bad_do
 
 def test_infiltrate_stdin_lines(capsys, workdir, monkeypatch):
     _build_pipeline(capsys, workdir)
-    monkeypatch.setattr(sys, "stdin", io.StringIO("fever problem\nnothing matching here\n"))
+    stdin = io.TextIOWrapper(io.BytesIO(b"fever problem\nnothing matching here\n"), encoding="utf-8")
+    monkeypatch.setattr(sys, "stdin", stdin)
     code, out, _ = run(capsys, "infiltrate", "--dict", "dict.json")
     assert code == 0
     lines = out.strip().split("\n")
@@ -234,9 +235,48 @@ def test_infiltrate_file_output(capsys, workdir):
     assert (workdir / "aug.txt").read_text(encoding="utf-8") == "fever problem (related: high fever)\n"
 
 
+# Each environment once broke stdin decoding: the C locale passed a bad byte
+# through, and a strict IO encoding raised a traceback.
+_STDIN_ENVIRONMENTS = pytest.mark.parametrize(
+    "env", [{"LC_ALL": "C"}, {"PYTHONIOENCODING": "utf-8:strict"}], ids=["c-locale", "strict-io"]
+)
+
+
+def _run_child(argv, stdin, env, cwd):
+    """``ontorag argv`` in a child process with ``stdin`` bytes and only ``env`` setting its encoding."""
+    child_env = {
+        key: value for key, value in os.environ.items()
+        if key not in ("LANG", "LC_ALL", "LC_CTYPE", "PYTHONIOENCODING", "PYTHONUTF8")
+    }
+    child_env.update(env)
+    return subprocess.run(
+        [sys.executable, "-m", "ontorag.cli", *argv], input=stdin, capture_output=True, env=child_env, cwd=str(cwd)
+    )
+
+
+@_STDIN_ENVIRONMENTS
+def test_infiltrate_stdin_that_is_not_utf8_names_its_line(capsys, workdir, child_pythonpath, env):
+    _build_pipeline(capsys, workdir)
+    out = _run_child(["infiltrate", "--dict", "dict.json"], b"cough\n\xe9\n", env, workdir)
+    assert (out.returncode, out.stdout, out.stderr) == (2, b"", b"error: <stdin>:2: not UTF-8 text\n")
+
+
+@_STDIN_ENVIRONMENTS
+def test_chat_answers_the_lines_before_one_that_is_not_utf8(capsys, workdir, child_pythonpath, env):
+    _build_pipeline(capsys, workdir)
+    stdin = b"What helps mild nausea?\nWhat helps a cough?\n\xe9\nfever\n"
+    argv = ["chat", "--store", "store.jsonl", "--dict", "dict.json", "--log", "chat.jsonl"]
+    out = _run_child(argv, stdin, env, workdir)
+    assert (out.returncode, out.stderr) == (2, b"error: <stdin>:3: not UTF-8 text\n")
+    assert out.stdout.count(b"Answer using only the context below.") == 2
+    rows = [json.loads(line) for line in (workdir / "chat.jsonl").read_text(encoding="utf-8").splitlines()]
+    assert [row["question"] for row in rows] == ["What helps mild nausea?", "What helps a cough?"]
+
+
 def test_chat_command(capsys, workdir, monkeypatch):
     _build_pipeline(capsys, workdir)
-    monkeypatch.setattr(sys, "stdin", io.StringIO("What helps mild nausea?\n/quit\n"))
+    stdin = io.TextIOWrapper(io.BytesIO(b"What helps mild nausea?\n/quit\n"), encoding="utf-8")
+    monkeypatch.setattr(sys, "stdin", stdin)
     code, out, err = run(
         capsys, "chat", "--store", "store.jsonl", "--dict", "dict.json", "--log", "chat.jsonl",
     )
@@ -351,6 +391,30 @@ class TestExitCodes:
         )
         assert code == 1
         assert "banana" in err
+
+    def test_http_colon_provider_spec_is_usage_error(self, capsys, workdir, refused_url):
+        code, _, err = run(
+            capsys, "ingest", "--store", "s.jsonl", "--doc", "handbook.txt", "--provider", f"http:{refused_url}",
+        )
+        assert code == 1
+        assert "usage error: unknown embedding provider" in err
+        assert not (workdir / "s.jsonl").exists()
+
+    def test_scorer_typo_names_every_accepted_form(self, capsys, workdir):
+        code, _, err = run(
+            capsys, "align", "--source", "symptoms.obo", "--target", "clinical_signs.json",
+            "--out", "x.tsv", "--scorer", "lexcial",
+        )
+        assert code == 1
+        assert err == (
+            "usage error: unknown scorer 'lexcial': use 'lexical', 'deterministic' or an http(s) URL\n"
+        )
+
+    def test_max_append_is_not_an_option(self, capsys, workdir):
+        code, out, err = run(capsys, "infiltrate", "--dict", "dict.json", "--max-append", "2", "--prompt", "cough")
+        assert code == 1
+        assert "usage error" in err and "--max-append" in err
+        assert out == ""
 
     def test_doc_id_with_many_docs_is_usage_error(self, capsys, workdir):
         code, _, err = run(

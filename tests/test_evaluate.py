@@ -78,10 +78,10 @@ def test_relative_change():
 
 
 def test_similarity_report_with_embedder(embedder):
-    same = similarity_report("the same words", "the same words", embedder)
+    same = similarity_report(*embedder.embed(["the same words", "the same words"]))
     assert same.cosine == pytest.approx(100.0)
     assert same.euclidean == pytest.approx(0.0, abs=1e-12)
-    other = similarity_report("fever", "completely different topic", embedder)
+    other = similarity_report(*embedder.embed(["fever", "completely different topic"]))
     assert other.cosine < 100.0
 
 
@@ -148,9 +148,9 @@ def test_evaluate_batch_contextual_uses_original_prompt(handbook_store, embedder
     infiltrated = answer(
         handbook_store, embedder, EchoLlm(), record.prompt, dictionary=fixture_dictionary, k=2
     )
-    expected = similarity_report(infiltrated.response, record.prompt, embedder)
+    expected = similarity_report(*embedder.embed([infiltrated.response, record.prompt]))
     assert summary.with_contextual == expected
-    against_augmented = similarity_report(infiltrated.response, infiltrated.augmented, embedder)
+    against_augmented = similarity_report(*embedder.embed([infiltrated.response, infiltrated.augmented]))
     assert summary.with_contextual != against_augmented
 
 
@@ -160,7 +160,7 @@ def test_evaluate_batch_without_arm_matches_plain_pipeline(handbook_store, embed
     plain = answer(handbook_store, embedder, EchoLlm(), record.prompt, dictionary=None, k=3)
     system, user = render_request(record.prompt, [t for t in plain.context_texts])
     assert plain.response == f"{system}\n{user}"
-    assert summary.without_factual == similarity_report(plain.response, record.ground_truth, embedder)
+    assert summary.without_factual == similarity_report(*embedder.embed([plain.response, record.ground_truth]))
 
 
 @pytest.mark.parametrize("repeat", [False, True], ids=["distinct-records", "shared-prompt-and-truth"])
@@ -206,7 +206,7 @@ def test_evaluate_batch_embeds_each_distinct_text_once(
         ("without_factual", "ground_truth", 2),
     ):
         expected = mean_report(
-            [similarity_report(row[arm].response, getattr(row[0], reference), embedder) for row in answered]
+            [similarity_report(*embedder.embed([row[arm].response, getattr(row[0], reference)])) for row in answered]
         )
         assert getattr(summary, field) == expected, field
 

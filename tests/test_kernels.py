@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
-from ontorag._kernels import cosine_scan, levenshtein, top_k
+from ontorag._kernels import cosine, cosine_scan, levenshtein, top_k
 
 
 def ref_levenshtein(a: str, b: str) -> int:
@@ -54,6 +55,36 @@ def test_levenshtein_cutoff_contract(a, b, data):
     else:
         assert got == cutoff + 1
     assert levenshtein(a, b, None) == exact
+
+
+def expression_cosine(a, b):
+    """The pairwise cosine as the alignment scorer and the evaluation metric each wrote it."""
+    na = float(np.linalg.norm(a))
+    nb = float(np.linalg.norm(b))
+    if na == 0.0 or nb == 0.0:
+        return None
+    return float(np.dot(a, b) / (na * nb))
+
+
+# Pairs of equal-width vectors; the element range includes 0.0 and subnormals.
+_vector_pairs = st.integers(1, 12).flatmap(
+    lambda n: st.tuples(*[arrays(np.float64, n, elements=st.floats(-1e6, 1e6))] * 2)
+)
+
+
+@settings(deadline=None, max_examples=200)
+@given(_vector_pairs)
+@example((np.zeros(3), np.ones(3)))
+@example((np.ones(3), np.zeros(3)))
+@example((np.array([5e-324]), np.array([1.0])))  # a norm that underflows to 0
+def test_cosine_bits_equal_the_expression(pair):
+    a, b = pair
+    want = expression_cosine(a, b)
+    got = cosine(a, b)
+    if want is None:
+        assert got is None
+    else:
+        assert type(got) is float and np.float64(got).tobytes() == np.float64(want).tobytes()
 
 
 def _random_store(rng, rows=50, dim=16):
