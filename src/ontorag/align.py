@@ -8,6 +8,7 @@ literal relation tag ``EQUIV``. Scoring is pluggable; the default
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import groupby, product
 from operator import itemgetter
@@ -218,6 +219,8 @@ def align(
     mapping. A class may appear in any number of mappings. Results are sorted
     by (source, target).
     """
+    if not math.isfinite(threshold):
+        raise DataError(f"threshold must be a finite number, got {threshold}")
     if scorer is None:
         scorer = LexicalScorer()
     if use_blocking:

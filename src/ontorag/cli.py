@@ -123,9 +123,12 @@ def _make_llm(spec: str):
 
 
 def _rag_inputs(args: argparse.Namespace):
-    """The store, its embedder, the LLM and the dictionary (None without ``--dict``) of a RAG command."""
+    """The store, the embedder its header names, the LLM and the dictionary (None without ``--dict``)."""
     store = VectorStore.load(args.store)
-    provider = _make_embedder(args.provider, store.dim)
+    try:
+        provider = _make_embedder(store.provider_name, store.dim)
+    except UsageError:
+        raise DataError(f"{args.store}: {store.provider_name!r} is not a provider spec; re-ingest the store") from None
     llm = _make_llm(args.llm)
     return store, provider, llm, read_dictionary(args.dict) if args.dict else None
 
@@ -296,13 +299,8 @@ def build_parser() -> _Parser:
     matching = _Parser(add_help=False)
     matching.add_argument("--fuzzy", action="store_true", help="allow one-edit anchor matches")
     matching.add_argument("--bare", action="store_true", help="append terms without the (related: ...) marker")
-    provider = _Parser(add_help=False)
-    provider.add_argument(
-        "--provider",
-        default=os.environ.get("ONTORAG_PROVIDER", DeterministicEmbedder.name),
-        help=f"embedding provider: {DeterministicEmbedder.name!r} or an http(s) URL",
-    )
-    rag = _Parser(add_help=False, parents=[provider, matching])
+    # ask, chat and eval embed with the provider the store's header names.
+    rag = _Parser(add_help=False, parents=[matching])
     rag.add_argument("--store", required=True, help="store JSONL path (its matrix is PATH.npy)")
     rag.add_argument(
         "--llm",
@@ -358,7 +356,12 @@ def build_parser() -> _Parser:
     p.add_argument("--out", help="write augmented prompts here instead of stdout")
     p.set_defaults(func=cmd_infiltrate)
 
-    p = subs.add_parser("ingest", help="chunk and embed documents into a store", parents=[provider])
+    p = subs.add_parser("ingest", help="chunk and embed documents into a store")
+    p.add_argument(
+        "--provider",
+        default=os.environ.get("ONTORAG_PROVIDER", DeterministicEmbedder.name),
+        help=f"embedding provider: {DeterministicEmbedder.name!r} or an http(s) URL; an existing store's must match",
+    )
     p.add_argument("--store", required=True, help="store JSONL and PATH.npy; created if missing")
     p.add_argument("--doc", required=True, action="append", help="document text file (repeatable)")
     p.add_argument("--doc-id", help="document id (single --doc only; default: file stem)")

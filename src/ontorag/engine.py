@@ -49,7 +49,7 @@ class HttpLlm:
         self.url = url
         self.model = model
         self.timeout = timeout
-        self.name = f"http:{url}"
+        self.name = url
 
     def complete(self, system: str, user: str) -> str:
         messages = [{"role": "system", "content": system}, {"role": "user", "content": user}]

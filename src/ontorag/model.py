@@ -118,9 +118,6 @@ class Ontology:
     def __len__(self) -> int:
         return len(self.classes)
 
-    def __contains__(self, iri: ClassIri) -> bool:
-        return iri in self.classes
-
     def get(self, iri: ClassIri) -> OntologyClass:
         try:
             return self.classes[iri]

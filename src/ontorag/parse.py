@@ -40,7 +40,10 @@ def stdin_lines() -> Iterator[str]:
 
     Lines end at ``"\n"`` only. A line that is not UTF-8 is a DataError naming
     ``<stdin>`` and its number, raised after the lines before it are yielded.
+    A closed standard input (``sys.stdin`` is None) is a DataError too.
     """
+    if sys.stdin is None:
+        raise DataError("<stdin>: standard input is closed")
     for lineno, raw in enumerate(sys.stdin.buffer, start=1):
         try:
             yield raw.decode("utf-8")

@@ -146,7 +146,7 @@ class HttpEmbeddingProvider:
         self.dim = dim
         self.batch_size = batch_size
         self.timeout = timeout
-        self.name = f"http:{url}"
+        self.name = url
 
     def _embed_batch(self, batch: Sequence[str]) -> list[list[float]]:
         body = {"model": self.model, "input": list(batch)}

@@ -11,6 +11,7 @@ terms.
 from __future__ import annotations
 
 import json
+import math
 import random
 from collections import Counter
 from dataclasses import dataclass, field
@@ -95,6 +96,8 @@ def predict_subsumptions(
     the SUBSUMED_BY relation, deduplicated and sorted by (concept, candidate).
     The scorer's ``floor`` is ``threshold``, so every accepted score is exact.
     """
+    if not math.isfinite(threshold):
+        raise DataError(f"threshold must be a finite number, got {threshold}")
     keys = list(dict.fromkeys((pair.concept, pair.candidate) for pair in corpus))
     labels = [(source.get(c).display_label, target.get(d).display_label) for c, d in keys]
     scores = scorer.score_many(labels, floor=threshold)

@@ -297,6 +297,61 @@ def test_eval_to_stdout(capsys, workdir):
     assert out.startswith("table\tmeasure\t")
 
 
+@pytest.mark.parametrize(
+    "argv", [["infiltrate", "--dict", "dict.json"], ["chat", "--store", "store.jsonl"]], ids=["infiltrate", "chat"]
+)
+def test_closed_stdin_is_data_error(capsys, workdir, child_pythonpath, argv):
+    _build_pipeline(capsys, workdir)
+    # The shell closes file descriptor 0 before the interpreter starts, so sys.stdin is None.
+    cmd = ["sh", "-c", 'exec "$@" <&-', "sh", sys.executable, "-m", "ontorag.cli", *argv]
+    out = subprocess.run(cmd, capture_output=True, cwd=str(workdir))
+    assert (out.returncode, out.stdout, out.stderr) == (2, b"", b"error: <stdin>: standard input is closed\n")
+
+
+def test_http_store_answers_through_the_provider_its_header_names(capsys, workdir, http_stub):
+    _build_pipeline(capsys, workdir)
+    embedder = ontorag.ragstore.DeterministicEmbedder(16)
+    http_stub.reply = lambda seen: (
+        200, {"data": [{"embedding": row} for row in embedder.embed(seen.body["input"]).tolist()]}
+    )
+    code, _, err = run(
+        capsys, "ingest", "--store", "h.jsonl", "--doc", "handbook.txt", "--provider", http_stub.url, "--dim", "16",
+    )
+    assert code == 0, err
+    header = json.loads((workdir / "h.jsonl").read_text(encoding="utf-8").splitlines()[0])
+    assert header["provider"] == http_stub.url
+    del http_stub.received[:]
+    code, out, err = run(capsys, "ask", "--store", "h.jsonl", "--question", "What helps a cough?")
+    assert code == 0, err
+    assert "Question: What helps a cough?" in out
+    assert [seen.body["input"] for seen in http_stub.received] == [["What helps a cough?"]]
+    del http_stub.received[:]
+    code, out, err = run(capsys, "eval", "--store", "h.jsonl", "--dict", "dict.json", "--records", "questions.jsonl")
+    assert code == 0, err
+    assert out.startswith("table\tmeasure\t")
+    assert http_stub.received
+
+
+@pytest.mark.parametrize("command", ["ask", "chat", "eval"])
+def test_rag_commands_have_no_provider_option(capsys, workdir, command):
+    _build_pipeline(capsys, workdir)
+    argv = {"ask": ["--question", "q"], "chat": [], "eval": ["--dict", "dict.json", "--records", "questions.jsonl"]}
+    code, out, err = run(
+        capsys, command, "--store", "store.jsonl", *argv[command], "--provider", "deterministic",
+    )
+    assert code == 1
+    assert "usage error: unrecognized arguments: --provider deterministic" in err
+    assert out == ""
+
+
+def test_provider_env_does_not_reach_ask(capsys, workdir, monkeypatch):
+    _build_pipeline(capsys, workdir)
+    monkeypatch.setenv("ONTORAG_PROVIDER", "banana")
+    code, out, err = run(capsys, "ask", "--store", "store.jsonl", "--dict", "dict.json", "--question", "cough")
+    assert code == 0, err
+    assert "Question: cough" in out
+
+
 class TestExitCodes:
     def test_missing_file_is_data_error(self, capsys, workdir):
         code, _, err = run(
@@ -492,12 +547,46 @@ class TestExitCodes:
 
     def test_mismatched_store_provider_is_data_error(self, capsys, workdir, refused_url):
         _build_pipeline(capsys, workdir)
+        before = {name: (workdir / name).read_bytes() for name in ("store.jsonl", "store.jsonl.npy")}
         code, _, err = run(
-            capsys, "ask", "--store", "store.jsonl", "--question", "q",
+            capsys, "ingest", "--store", "store.jsonl", "--doc", "handbook.txt",
             "--provider", refused_url,
         )
         assert code == 2
         assert "provider" in err
+        assert {name: (workdir / name).read_bytes() for name in before} == before
+
+    def test_store_provider_that_is_not_a_spec_is_data_error(self, capsys, workdir, refused_url):
+        # A store written while an HTTP provider was named "http:" + URL.
+        _build_pipeline(capsys, workdir)
+        path = workdir / "store.jsonl"
+        path.write_text(
+            path.read_text(encoding="utf-8").replace('"deterministic"', json.dumps(f"http:{refused_url}"), 1),
+            encoding="utf-8",
+        )
+        code, out, err = run(capsys, "ask", "--store", "store.jsonl", "--question", "q")
+        assert code == 2
+        assert err == f"error: store.jsonl: 'http:{refused_url}' is not a provider spec; re-ingest the store\n"
+        assert out == ""
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["align", "--out", "x.tsv"],
+            ["dict", "--corpus", "corpus.tsv", "--out", "x.json"],
+        ],
+        ids=["align", "dict"],
+    )
+    def test_non_finite_threshold_is_data_error(self, capsys, workdir, argv, value):
+        _build_pipeline(capsys, workdir)
+        code, out, err = run(
+            capsys, *argv, "--source", "symptoms.obo", "--target", "clinical_signs.json", f"--threshold={value}",
+        )
+        assert code == 2
+        assert err == f"error: threshold must be a finite number, got {value}\n"
+        assert out == ""
+        assert not (workdir / argv[-1]).exists()
 
 
 def test_json_warnings_name_the_class_entry(capsys, workdir):
@@ -520,7 +609,7 @@ def test_parser_defines_each_option_once(monkeypatch):
 
     monkeypatch.setattr(argparse._ActionsContainer, "add_argument", count)
     build_parser()
-    assert len(calls) <= 49
+    assert len(calls) <= 48
 
 
 def test_env_defaults_are_read(capsys, workdir, monkeypatch):

@@ -1,7 +1,7 @@
 import pytest
 
 import ontorag.subsume
-from ontorag.align import EquivalenceMapping, LexicalScorer, lexical_score
+from ontorag.align import EquivalenceMapping, LexicalScorer, align, lexical_score
 from ontorag.errors import DataError, UnknownClassError
 from ontorag.infiltrate import infiltrate
 from ontorag.model import Ontology, OntologyClass, label_tokens, normalize_label
@@ -127,6 +127,16 @@ def test_predict_scores_negatives_too(source_onto, target_onto, fixture_mappings
     pairs = {(m.source, m.target): m.score for m in accepted}
     assert pairs[(f"{S}S_0007", f"{CS}CS_0007")] == 1.0
     assert len(accepted) == 15
+
+
+@pytest.mark.parametrize("threshold", [float("nan"), float("inf"), float("-inf")])
+def test_non_finite_threshold_is_data_error(source_onto, target_onto, fixture_mappings, threshold):
+    corpus = build_subsumption_corpus(source_onto, target_onto, fixture_mappings, seed=0)
+    message = f"threshold must be a finite number, got {threshold}"
+    with pytest.raises(DataError, match=f"^{message}$"):
+        align(source_onto, target_onto, threshold=threshold)
+    with pytest.raises(DataError, match=f"^{message}$"):
+        predict_subsumptions(corpus, LexicalScorer(), source_onto, target_onto, threshold=threshold)
 
 
 def test_predict_custom_threshold(source_onto, target_onto, fixture_mappings):
