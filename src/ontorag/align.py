@@ -27,7 +27,7 @@ SUBSUMED_BY = "SUBSUMED_BY"
 _RELATIONS = (EQUIV, SUBSUMED_BY)
 _HEADER = "source_iri\ttarget_iri\tscore\trelation"
 # Blocking keeps a cross-ontology pair only when the two classes share a
-# token at least this long somewhere in their labels or synonyms.
+# normalized label or synonym, or a token at least this long in one.
 MIN_BLOCK_TOKEN = 3
 
 
@@ -151,26 +151,27 @@ class EquivalenceMapping:
     relation: str = EQUIV
 
 
-def _blocking_tokens(cls: OntologyClass) -> set[str]:
-    tokens: set[str] = set()
+def _blocking_keys(cls: OntologyClass) -> set[str]:
+    # Normalized texts are keys too, so equal ones meet however short their tokens.
+    keys = set(cls.normalized_texts)
     for text in cls.normalized_texts:
         for tok in label_tokens(text):
             if len(tok) >= MIN_BLOCK_TOKEN:
-                tokens.add(tok)
-    return tokens
+                keys.add(tok)
+    return keys
 
 
 def candidate_pairs(source: Ontology, target: Ontology) -> list[tuple[ClassIri, ClassIri]]:
-    """Cross-ontology pairs sharing at least one blocking token, sorted."""
+    """Cross-ontology pairs sharing at least one blocking key, sorted."""
     index: dict[str, set[ClassIri]] = {}
     for iri in target.sorted_iris():
-        for tok in _blocking_tokens(target.classes[iri]):
-            index.setdefault(tok, set()).add(iri)
+        for key in _blocking_keys(target.classes[iri]):
+            index.setdefault(key, set()).add(iri)
     pairs: list[tuple[ClassIri, ClassIri]] = []
     for s_iri in source.sorted_iris():
         hits: set[ClassIri] = set()
-        for tok in _blocking_tokens(source.classes[s_iri]):
-            hits.update(index.get(tok, ()))
+        for key in _blocking_keys(source.classes[s_iri]):
+            hits.update(index.get(key, ()))
         pairs.extend((s_iri, t_iri) for t_iri in sorted(hits))
     return pairs
 

@@ -122,15 +122,19 @@ def _make_llm(spec: str):
     return _from_spec(spec, EchoLlm, HttpLlm, "llm")
 
 
+def _open_store(path: str):
+    """The store at ``path`` and the embedder its header names."""
+    store = VectorStore.load(path)
+    try:
+        return store, _make_embedder(store.provider_name, store.dim)
+    except UsageError:
+        raise DataError(f"{path}: {store.provider_name!r} is not a provider spec; re-ingest the store") from None
+
+
 def _rag_inputs(args: argparse.Namespace):
     """The store, the embedder its header names, the LLM and the dictionary (None without ``--dict``)."""
-    store = VectorStore.load(args.store)
-    try:
-        provider = _make_embedder(store.provider_name, store.dim)
-    except UsageError:
-        raise DataError(f"{args.store}: {store.provider_name!r} is not a provider spec; re-ingest the store") from None
-    llm = _make_llm(args.llm)
-    return store, provider, llm, read_dictionary(args.dict) if args.dict else None
+    store, provider = _open_store(args.store)
+    return store, provider, _make_llm(args.llm), read_dictionary(args.dict) if args.dict else None
 
 
 def cmd_align(args: argparse.Namespace) -> int:
@@ -204,11 +208,15 @@ def cmd_infiltrate(args: argparse.Namespace) -> int:
 
 
 def cmd_ingest(args: argparse.Namespace) -> int:
+    spec, dim = args.provider, args.dim
     if os.path.exists(args.store):
-        store = VectorStore.load(args.store)
-        provider = _make_embedder(args.provider, store.dim)
+        store, provider = _open_store(args.store)
+        # A typed --provider or --dim must agree with the header; ingest() checks it.
+        if spec is not None or dim is not None:
+            provider = _make_embedder(provider.name if spec is None else spec, provider.dim if dim is None else dim)
     else:
-        provider = _make_embedder(args.provider, args.dim)
+        spec = os.environ.get("ONTORAG_PROVIDER", DeterministicEmbedder.name) if spec is None else spec
+        provider = _make_embedder(spec, DEFAULT_DIM if dim is None else dim)
         store = VectorStore.new(provider)
     if args.doc_id and len(args.doc) > 1:
         raise UsageError("--doc-id only applies when a single --doc is given")
@@ -359,13 +367,13 @@ def build_parser() -> _Parser:
     p = subs.add_parser("ingest", help="chunk and embed documents into a store")
     p.add_argument(
         "--provider",
-        default=os.environ.get("ONTORAG_PROVIDER", DeterministicEmbedder.name),
-        help=f"embedding provider: {DeterministicEmbedder.name!r} or an http(s) URL; an existing store's must match",
+        help=f"a new store's embedding provider: {DeterministicEmbedder.name!r} or an http(s) URL "
+        "(default: $ONTORAG_PROVIDER, else deterministic); an existing store's header must match",
     )
     p.add_argument("--store", required=True, help="store JSONL and PATH.npy; created if missing")
     p.add_argument("--doc", required=True, action="append", help="document text file (repeatable)")
     p.add_argument("--doc-id", help="document id (single --doc only; default: file stem)")
-    p.add_argument("--dim", type=int, default=DEFAULT_DIM, help=f"embedding width for new stores (default: {DEFAULT_DIM})")
+    p.add_argument("--dim", type=int, help=f"a new store's embedding width (default: {DEFAULT_DIM}); an existing store's must match")
     p.add_argument("--size", type=int, default=CHUNK_SIZE, help=f"chunk size (default: {CHUNK_SIZE})")
     p.add_argument("--overlap", type=int, default=CHUNK_OVERLAP, help=f"chunk overlap (default: {CHUNK_OVERLAP})")
     p.set_defaults(func=cmd_ingest)

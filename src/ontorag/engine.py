@@ -21,6 +21,7 @@ from .subsume import SubsumptionDictionary
 
 SYSTEM_PREFIX = "Answer using only the context below.\nContext:\n"
 USER_PREFIX = "Question: "
+COMPLETE_TIMEOUT = 60.0  # seconds an HTTP completion request may take
 
 
 class LlmProvider(Protocol):
@@ -45,16 +46,15 @@ class HttpLlm:
     ``Authorization: Bearer $LLM_API_KEY`` when the variable is set.
     """
 
-    def __init__(self, url: str, model: str = "chat-default", timeout: float = 60.0) -> None:
+    def __init__(self, url: str, model: str = "chat-default") -> None:
         self.url = url
         self.model = model
-        self.timeout = timeout
         self.name = url
 
     def complete(self, system: str, user: str) -> str:
         messages = [{"role": "system", "content": system}, {"role": "user", "content": user}]
         body = {"model": self.model, "messages": messages}
-        return post_json(self.url, body, "LLM_API_KEY", self.timeout, "completion", _content)
+        return post_json(self.url, body, "LLM_API_KEY", COMPLETE_TIMEOUT, "completion", _content)
 
 
 def _content(payload) -> str:

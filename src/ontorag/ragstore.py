@@ -30,8 +30,10 @@ from .parse import numbered_lines, read_text
 
 CHUNK_SIZE = 512
 CHUNK_OVERLAP = 64
-# Batches of one HTTP embed call that are posted at once.
+# HTTP embedding: texts per request, requests of one call in flight, seconds per request.
+EMBED_BATCH_SIZE = 64
 MAX_IN_FLIGHT = 4
+EMBED_TIMEOUT = 30.0
 ALIGN_WINDOW = 20
 MIN_DIM = 8
 DEFAULT_DIM = 256
@@ -125,33 +127,22 @@ class HttpEmbeddingProvider:
     """Embeddings over HTTP: POST {"model", "input"} -> {"data": [{"embedding"}]}.
 
     Sends ``Authorization: Bearer $EMBED_API_KEY`` when the variable is set.
-    A call with more than one batch posts up to ``MAX_IN_FLIGHT`` of them at
-    once and reassembles the rows in input order.
+    A call posts its texts in batches of ``EMBED_BATCH_SIZE``, up to
+    ``MAX_IN_FLIGHT`` at once, and reassembles the rows in input order.
     """
 
-    def __init__(
-        self,
-        url: str,
-        model: str = "embed-default",
-        dim: int = DEFAULT_DIM,
-        batch_size: int = 64,
-        timeout: float = 30.0,
-    ) -> None:
+    def __init__(self, url: str, model: str = "embed-default", dim: int = DEFAULT_DIM) -> None:
         if dim < MIN_DIM:
             raise DataError(f"embedding dim must be >= {MIN_DIM}, got {dim}")
-        if batch_size < 1:
-            raise DataError("batch_size must be >= 1")
         self.url = url
         self.model = model
         self.dim = dim
-        self.batch_size = batch_size
-        self.timeout = timeout
         self.name = url
 
     def _embed_batch(self, batch: Sequence[str]) -> list[list[float]]:
         body = {"model": self.model, "input": list(batch)}
         rows = post_json(
-            self.url, body, "EMBED_API_KEY", self.timeout, "embedding",
+            self.url, body, "EMBED_API_KEY", EMBED_TIMEOUT, "embedding",
             lambda reply: [item["embedding"] for item in reply["data"]],
         )
         if len(rows) != len(batch):
@@ -163,9 +154,7 @@ class HttpEmbeddingProvider:
     def embed(self, texts: Sequence[str]) -> np.ndarray:
         if not texts:
             return np.empty((0, self.dim), dtype=np.float64)
-        batches = [
-            texts[i : i + self.batch_size] for i in range(0, len(texts), self.batch_size)
-        ]
+        batches = [texts[i : i + EMBED_BATCH_SIZE] for i in range(0, len(texts), EMBED_BATCH_SIZE)]
         if len(batches) == 1:
             results = [self._embed_batch(batches[0])]
         else:
@@ -443,10 +432,13 @@ def timestamp() -> int:
 
 
 def _check_provider(store: VectorStore, provider: EmbeddingProvider) -> None:
+    """The provider must be the one the store names, at the store's width."""
     if provider.name != store.provider_name:
         raise DataError(
             f"provider {provider.name!r} does not match store provider {store.provider_name!r}"
         )
+    if provider.dim != store.dim:
+        raise DataError(f"provider dim {provider.dim} != store dim {store.dim}")
 
 
 def ingest(
@@ -463,8 +455,6 @@ def ingest(
     untouched if anything is wrong.
     """
     _check_provider(store, provider)
-    if provider.dim != store.dim:
-        raise DataError(f"provider dim {provider.dim} != store dim {store.dim}")
     seen: set[str] = set()
     for doc_id, _ in docs:
         if not doc_id or doc_id != doc_id.strip():
@@ -489,7 +479,7 @@ def retrieve(
     provider: EmbeddingProvider,
     k: int = DEFAULT_K,
 ) -> list[tuple[Chunk, float]]:
-    """Embed ``query_text`` with ``provider`` and scan the store."""
+    """Embed ``query_text`` with ``provider`` and scan the store; a provider other than the store's is a DataError."""
     _check_provider(store, provider)
     query = provider.embed([query_text])[0]
     return store.nearest(query, k)

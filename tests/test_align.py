@@ -133,6 +133,15 @@ def test_candidate_pairs_ignores_short_tokens():
     assert candidate_pairs(src, tgt) == []
 
 
+@pytest.mark.parametrize("a, b", [("CO", "co"), ("IL-2", "il 2")])
+def test_blocking_keeps_equal_labels_of_short_tokens(a, b):
+    src = _onto("s", _cls("http://a/#1", a))
+    tgt = _onto("t", _cls("http://b/#1", b))
+    expected = [EquivalenceMapping("http://a/#1", "http://b/#1", 1.0)]
+    assert align(src, tgt, use_blocking=False) == expected
+    assert align(src, tgt) == expected
+
+
 def test_align_fixture(source_onto, target_onto, fixture_mappings):
     assert len(fixture_mappings) == 12
     assert all(m.score == 1.0 for m in fixture_mappings)

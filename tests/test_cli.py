@@ -352,6 +352,48 @@ def test_provider_env_does_not_reach_ask(capsys, workdir, monkeypatch):
     assert "Question: cough" in out
 
 
+def test_reingest_into_http_store_uses_its_header(capsys, workdir, http_stub):
+    embedder = ontorag.ragstore.DeterministicEmbedder(16)
+    http_stub.reply = lambda seen: (
+        200, {"data": [{"embedding": row} for row in embedder.embed(seen.body["input"]).tolist()]}
+    )
+    code, _, err = run(
+        capsys, "ingest", "--store", "h.jsonl", "--doc", "handbook.txt", "--provider", http_stub.url, "--dim", "16",
+    )
+    assert code == 0, err
+    del http_stub.received[:]
+    (workdir / "more.txt").write_text("Rest and fluids help a mild fever.", encoding="utf-8")
+    code, out, err = run(capsys, "ingest", "--store", "h.jsonl", "--doc", "more.txt")
+    assert code == 0, err
+    assert "ingested 1 chunks from 1 documents; store has 9" in out
+    assert [seen.body["input"] for seen in http_stub.received] == [["Rest and fluids help a mild fever."]]
+
+
+def test_provider_env_does_not_reach_an_existing_store(capsys, workdir, monkeypatch):
+    run(capsys, "ingest", "--store", "s.jsonl", "--doc", "handbook.txt")
+    monkeypatch.setenv("ONTORAG_PROVIDER", "banana")
+    code, out, err = run(capsys, "ingest", "--store", "s.jsonl", "--doc", "handbook.txt", "--doc-id", "more")
+    assert code == 0, err
+    assert "store has 16" in out
+
+
+def test_typed_dim_must_match_an_existing_store(capsys, workdir):
+    run(capsys, "ingest", "--store", "s.jsonl", "--doc", "handbook.txt")
+    before = {name: (workdir / name).read_bytes() for name in ("s.jsonl", "s.jsonl.npy")}
+    code, out, err = run(capsys, "ingest", "--store", "s.jsonl", "--doc", "handbook.txt", "--doc-id", "h2", "--dim", "16")
+    assert (code, out, err) == (2, "", "error: provider dim 16 != store dim 256\n")
+    assert {name: (workdir / name).read_bytes() for name in before} == before
+    code, out, err = run(capsys, "ingest", "--store", "s.jsonl", "--doc", "handbook.txt", "--doc-id", "h2", "--dim", "0")
+    assert (code, out, err) == (2, "", "error: embedding dim must be >= 8, got 0\n")
+    assert {name: (workdir / name).read_bytes() for name in before} == before
+    code, out, err = run(
+        capsys, "ingest", "--store", "s.jsonl", "--doc", "handbook.txt", "--doc-id", "h2",
+        "--provider", "deterministic", "--dim", "256",
+    )
+    assert code == 0, err
+    assert "store has 16" in out
+
+
 class TestExitCodes:
     def test_missing_file_is_data_error(self, capsys, workdir):
         code, _, err = run(
@@ -565,6 +607,18 @@ class TestExitCodes:
             encoding="utf-8",
         )
         code, out, err = run(capsys, "ask", "--store", "store.jsonl", "--question", "q")
+        assert code == 2
+        assert err == f"error: store.jsonl: 'http:{refused_url}' is not a provider spec; re-ingest the store\n"
+        assert out == ""
+
+    def test_ingest_into_store_whose_provider_is_not_a_spec_is_data_error(self, capsys, workdir, refused_url):
+        _build_pipeline(capsys, workdir)
+        path = workdir / "store.jsonl"
+        path.write_text(
+            path.read_text(encoding="utf-8").replace('"deterministic"', json.dumps(f"http:{refused_url}"), 1),
+            encoding="utf-8",
+        )
+        code, out, err = run(capsys, "ingest", "--store", "store.jsonl", "--doc", "handbook.txt", "--doc-id", "more")
         assert code == 2
         assert err == f"error: store.jsonl: 'http:{refused_url}' is not a provider spec; re-ingest the store\n"
         assert out == ""

@@ -12,7 +12,7 @@ from ontorag.engine import (
     render_request,
 )
 from ontorag.errors import DataError, ProviderError
-from ontorag.ragstore import DeterministicEmbedder
+from ontorag.ragstore import DeterministicEmbedder, ingest
 
 
 def test_render_request():
@@ -65,6 +65,22 @@ def test_answer_validation(handbook_store, embedder):
         answer(handbook_store, embedder, EchoLlm(), "   ")
     with pytest.raises(DataError):
         answer(handbook_store, DeterministicEmbedder(dim=32), EchoLlm(), "q")
+
+
+def test_wrong_width_embedder_fails_before_embedding(handbook_store):
+    calls = []
+
+    class Counting(DeterministicEmbedder):
+        def embed(self, texts):
+            calls.append(list(texts))
+            return super().embed(texts)
+
+    narrow = Counting(dim=32)
+    with pytest.raises(DataError, match="provider dim 32 != store dim 64"):
+        ingest(handbook_store, [("more", "Fever notes.")], narrow)
+    with pytest.raises(DataError, match="provider dim 32 != store dim 64"):
+        answer(handbook_store, narrow, EchoLlm(), "q")
+    assert calls == []
 
 
 def test_answer_stage_errors(handbook_store, embedder):
@@ -121,8 +137,9 @@ class TestHttpLlm:
 
         # The reply waits until teardown, long after the client gave up.
         http_stub.reply = lambda seen: http_stub.hold.wait() and (200, {})
+        monkeypatch.setattr("ontorag.engine.COMPLETE_TIMEOUT", 0.2)
         with pytest.raises(ProviderError, match=f"completion request to {re.escape(url)} failed: .*timed out"):
-            HttpLlm(url, timeout=0.2).complete("s", "u")
+            HttpLlm(url).complete("s", "u")
 
 
 def test_chat_repl(handbook_store, embedder, fixture_dictionary, tmp_path, monkeypatch):

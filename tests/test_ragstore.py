@@ -607,9 +607,10 @@ def _length_rows(seen):
 
 
 class TestHttpEmbeddingProvider:
-    def test_batching_preserves_order(self, http_stub):
+    def test_batching_preserves_order(self, http_stub, monkeypatch):
+        monkeypatch.setattr(ragstore, "EMBED_BATCH_SIZE", 2)
         http_stub.reply = _length_rows
-        provider = HttpEmbeddingProvider(http_stub.url, model="m2", dim=8, batch_size=2)
+        provider = HttpEmbeddingProvider(http_stub.url, model="m2", dim=8)
         out = provider.embed(["a", "bb", "ccc", "dddd", "eeeee"])
         assert out.shape == (5, 8)
         assert [row[0] for row in out] == [1.0, 2.0, 3.0, 4.0, 5.0]
@@ -620,7 +621,8 @@ class TestHttpEmbeddingProvider:
             assert seen.headers["Content-Type"] == "application/json"
             assert seen.body["model"] == "m2"
 
-    def test_batches_are_in_flight_at_once(self, http_stub):
+    def test_batches_are_in_flight_at_once(self, http_stub, monkeypatch):
+        monkeypatch.setattr(ragstore, "EMBED_BATCH_SIZE", 1)
         # Serial posting would leave the first request alone at the barrier.
         barrier = threading.Barrier(2, timeout=5)
 
@@ -629,7 +631,7 @@ class TestHttpEmbeddingProvider:
             return _length_rows(seen)
 
         http_stub.reply = reply
-        out = HttpEmbeddingProvider(http_stub.url, dim=8, batch_size=1).embed(["a", "bb"])
+        out = HttpEmbeddingProvider(http_stub.url, dim=8).embed(["a", "bb"])
         assert [row[0] for row in out] == [1.0, 2.0]
 
     def test_pool_only_for_several_batches(self, http_stub, monkeypatch):
@@ -649,17 +651,19 @@ class TestHttpEmbeddingProvider:
 
         monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", recording_pool)
         monkeypatch.setattr(ragstore, "post_json", recording_post)
+        monkeypatch.setattr(ragstore, "EMBED_BATCH_SIZE", 2)
         http_stub.reply = _length_rows
-        provider = HttpEmbeddingProvider(http_stub.url, dim=8, batch_size=2)
+        provider = HttpEmbeddingProvider(http_stub.url, dim=8)
         provider.embed(["a", "bb"])
         assert pools == [] and threads == [threading.get_ident()]
         provider.embed(["a", "bb", "ccc"])
         assert pools == [ragstore.MAX_IN_FLIGHT]
         assert len(http_stub.received) == 3
 
-    def test_one_failing_batch_fails_the_call(self, http_stub):
+    def test_one_failing_batch_fails_the_call(self, http_stub, monkeypatch):
+        monkeypatch.setattr(ragstore, "EMBED_BATCH_SIZE", 2)
         http_stub.reply = lambda seen: (500, {}) if "bad" in seen.body["input"] else _length_rows(seen)
-        provider = HttpEmbeddingProvider(http_stub.url, dim=8, batch_size=2)
+        provider = HttpEmbeddingProvider(http_stub.url, dim=8)
         with pytest.raises(ProviderError, match="returned status 500"):
             provider.embed(["a", "bb", "ccc", "bad", "eeeee"])
 
