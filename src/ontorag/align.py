@@ -142,8 +142,8 @@ class EmbeddingScorer:
 
 
 @dataclass(frozen=True)
-class EquivalenceMapping:
-    """One accepted cross-ontology pairing."""
+class Mapping:
+    """One accepted cross-ontology pairing: an equivalence (EQUIV) or a subsumption (SUBSUMED_BY)."""
 
     source: ClassIri
     target: ClassIri
@@ -213,7 +213,7 @@ def align(
     scorer: SynonymyScorer | None = None,
     threshold: float = DEFAULT_THRESHOLD,
     use_blocking: bool = True,
-) -> list[EquivalenceMapping]:
+) -> list[Mapping]:
     """Equivalence mappings between two ontologies.
 
     Every candidate pair whose class-level score is >= ``threshold`` becomes a
@@ -230,13 +230,13 @@ def align(
         pairs = list(product(source.sorted_iris(), target.sorted_iris()))
     scores = _score_pairs(scorer, source, target, pairs, threshold)
     return [
-        EquivalenceMapping(source=s_iri, target=t_iri, score=score)
+        Mapping(source=s_iri, target=t_iri, score=score)
         for (s_iri, t_iri), score in zip(pairs, scores)
         if score >= threshold
     ]
 
 
-def render_mappings(mappings: Iterable[EquivalenceMapping]) -> str:
+def render_mappings(mappings: Iterable[Mapping]) -> str:
     """Mapping TSV text: a header line then one row per mapping."""
     lines = [_HEADER]
     for m in mappings:
@@ -244,9 +244,9 @@ def render_mappings(mappings: Iterable[EquivalenceMapping]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def read_mappings(path: str) -> list[EquivalenceMapping]:
+def read_mappings(path: str) -> list[Mapping]:
     """Read a mapping TSV in the form :func:`render_mappings` produces."""
-    out: list[EquivalenceMapping] = []
+    out: list[Mapping] = []
     for lineno, (src, tgt, score_text, relation) in read_tsv(path, _HEADER, "mapping"):
         if relation not in _RELATIONS:
             raise DataError(f"{path}:{lineno}: unknown relation {relation!r}")
@@ -254,5 +254,5 @@ def read_mappings(path: str) -> list[EquivalenceMapping]:
             score = float(score_text)
         except ValueError:
             raise DataError(f"{path}:{lineno}: bad score {score_text!r}") from None
-        out.append(EquivalenceMapping(source=src, target=tgt, score=score, relation=relation))
+        out.append(Mapping(source=src, target=tgt, score=score, relation=relation))
     return out

@@ -11,7 +11,7 @@ from __future__ import annotations
 import contextlib
 import json
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import IO, Iterable, Protocol, Sequence
 
 from .errors import DataError, ProviderError
@@ -129,17 +129,6 @@ def answer(
     )
 
 
-@dataclass(frozen=True)
-class ChatTurn:
-    """One logged exchange; self-contained, including the retrieved texts."""
-
-    ts: int
-    question: str
-    augmented: str
-    answer: str
-    context_texts: tuple[str, ...]
-
-
 def chat_repl(
     store: VectorStore,
     provider: EmbeddingProvider,
@@ -151,15 +140,15 @@ def chat_repl(
     log_path: str | None = None,
     fuzzy: bool = False,
     bare: bool = False,
-) -> list[ChatTurn]:
+) -> list[AnswerResult]:
     """Line-oriented chat loop; `/quit` or EOF ends it.
 
-    Blank lines are skipped. Every turn is echoed to ``output_stream`` and,
+    Blank lines are skipped. Every answer is echoed to ``output_stream`` and,
     when ``log_path`` is set, appended there as one JSON object per line. A
     ProviderError on one line is reported on stderr and that turn is dropped;
     the loop goes on with the next line.
     """
-    turns: list[ChatTurn] = []
+    results: list[AnswerResult] = []
     with open(log_path, "a", encoding="utf-8") if log_path else contextlib.nullcontext() as log_fh:
         for line in input_stream:
             question = line.strip()
@@ -175,17 +164,12 @@ def chat_repl(
             except ProviderError as exc:
                 print(f"provider error: {exc}", file=sys.stderr, flush=True)
                 continue
-            turn = ChatTurn(
-                ts=timestamp(),
-                question=result.question,
-                augmented=result.augmented,
-                answer=result.response,
-                context_texts=result.context_texts,
-            )
-            turns.append(turn)
+            results.append(result)
             output_stream.write(result.response + "\n")
             output_stream.flush()
             if log_fh is not None:
-                log_fh.write(json.dumps(asdict(turn), ensure_ascii=False) + "\n")
+                row = dict(ts=timestamp(), question=result.question, augmented=result.augmented,
+                           answer=result.response, context_texts=result.context_texts)
+                log_fh.write(json.dumps(row, ensure_ascii=False) + "\n")
                 log_fh.flush()
-    return turns
+    return results

@@ -138,19 +138,14 @@ def read_records(path: str) -> list[EvalRecord]:
 
 @dataclass(frozen=True)
 class EvalSummary:
-    """Aggregate measures over a record batch, with and without infiltration."""
+    """Aggregate measures over a record batch, with and without infiltration.
+
+    ``tables`` maps each table name, in TSV order, to its (with, without) pair of mean reports.
+    """
 
     n_records: int
     augmented_count: int
-    with_contextual: SimilarityReport
-    without_contextual: SimilarityReport
-    with_factual: SimilarityReport
-    without_factual: SimilarityReport
-    with_index: SimilarityReport
-    without_index: SimilarityReport
-    contextual_change: SimilarityReport
-    factual_change: SimilarityReport
-    index_change: SimilarityReport
+    tables: dict[str, tuple[SimilarityReport, SimilarityReport]]
 
 
 def evaluate_batch(
@@ -197,22 +192,15 @@ def evaluate_batch(
             response = vectors[result.response]
             contextual[arm].append(similarity_report(response, prompt))
             factual[arm].append(similarity_report(response, truth))
-    with_contextual, without_contextual = map(mean_report, contextual)
-    with_factual, without_factual = map(mean_report, factual)
-    with_index = hallucination_index(with_contextual, with_factual)
-    without_index = hallucination_index(without_contextual, without_factual)
+    contextual_pair, factual_pair = (tuple(map(mean_report, arms)) for arms in (contextual, factual))
     return EvalSummary(
         n_records=len(records),
         augmented_count=sum(infiltrated.augmented != record.prompt for record, infiltrated, _ in answered),
-        with_contextual=with_contextual,
-        without_contextual=without_contextual,
-        with_factual=with_factual,
-        without_factual=without_factual,
-        with_index=with_index,
-        without_index=without_index,
-        contextual_change=_report_change(with_contextual, without_contextual),
-        factual_change=_report_change(with_factual, without_factual),
-        index_change=_report_change(with_index, without_index),
+        tables={
+            TABLE_CONTEXTUAL: contextual_pair,
+            TABLE_FACTUAL: factual_pair,
+            TABLE_INDEX: tuple(map(hallucination_index, contextual_pair, factual_pair)),
+        },
     )
 
 
@@ -223,12 +211,8 @@ def _fmt(x: float) -> str:
 def render_summary_tsv(summary: EvalSummary) -> str:
     """One rectangular TSV: three tables by three measures."""
     rows = [_SUMMARY_HEADER]
-    blocks = [
-        (TABLE_CONTEXTUAL, summary.with_contextual, summary.without_contextual, summary.contextual_change),
-        (TABLE_FACTUAL, summary.with_factual, summary.without_factual, summary.factual_change),
-        (TABLE_INDEX, summary.with_index, summary.without_index, summary.index_change),
-    ]
-    for table, *reports in blocks:
-        for measure, values in zip(_MEASURES, zip(*reports)):
+    for table, (with_report, without_report) in summary.tables.items():
+        change = _report_change(with_report, without_report)
+        for measure, values in zip(_MEASURES, zip(with_report, without_report, change)):
             rows.append("\t".join((table, measure, *map(_fmt, values))))
     return "\n".join(rows) + "\n"

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Sequence
 
-from .align import EQUIV, SUBSUMED_BY, EquivalenceMapping, SynonymyScorer
+from .align import EQUIV, SUBSUMED_BY, Mapping, SynonymyScorer
 from .errors import DataError
 from .model import ClassIri, Ontology, label_tokens, subclass_closure
 from .parse import read_text, read_tsv
@@ -40,7 +40,7 @@ class SubsumptionPair:
 def build_subsumption_corpus(
     source: Ontology,
     target: Ontology,
-    mappings: Sequence[EquivalenceMapping],
+    mappings: Sequence[Mapping],
     negatives_per_positive: int = 1,
     seed: int = 0,
 ) -> list[SubsumptionPair]:
@@ -88,7 +88,7 @@ def predict_subsumptions(
     source: Ontology,
     target: Ontology,
     threshold: float = DEFAULT_SUBSUME_THRESHOLD,
-) -> list[EquivalenceMapping]:
+) -> list[Mapping]:
     """Corpus pairs whose display labels score at or above ``threshold``.
 
     Corpus labels are not consulted; the scorer alone decides, so sampled
@@ -102,7 +102,7 @@ def predict_subsumptions(
     labels = [(source.get(c).display_label, target.get(d).display_label) for c, d in keys]
     scores = scorer.score_many(labels, floor=threshold)
     accepted = [
-        EquivalenceMapping(source=c, target=d, score=score, relation=SUBSUMED_BY)
+        Mapping(source=c, target=d, score=score, relation=SUBSUMED_BY)
         for (c, d), score in zip(keys, scores, strict=True)
         if score >= threshold
     ]
@@ -153,7 +153,7 @@ class SubsumptionDictionary:
 
 
 def build_dictionary(
-    accepted: Sequence[EquivalenceMapping],
+    accepted: Sequence[Mapping],
     source: Ontology,
     target: Ontology,
     max_per_anchor: int = DEFAULT_MAX_PER_ANCHOR,

@@ -22,7 +22,7 @@ import random
 
 import numpy as np
 
-from ontorag.align import EquivalenceMapping
+from ontorag.align import Mapping
 from ontorag.cli import main as cli_main
 from ontorag.evaluate import (
     MEASURE_COSINE,
@@ -191,7 +191,7 @@ def test_criterion_4_corpus_matches_closure_oracle(capsys):
             parents_in_use = sorted({p for c in target.classes.values() for p in c.parents})
             mapped_sources = rng.sample(sorted(source.classes), k=min(6, len(parents_in_use)))
             mappings = [
-                EquivalenceMapping(source=s, target=t, score=1.0)
+                Mapping(source=s, target=t, score=1.0)
                 for s, t in zip(mapped_sources, rng.sample(parents_in_use, k=len(mapped_sources)))
             ]
 

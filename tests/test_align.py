@@ -6,8 +6,8 @@ from hypothesis import strategies as st
 from ontorag._kernels import levenshtein
 from ontorag.align import (
     EmbeddingScorer,
-    EquivalenceMapping,
     LexicalScorer,
+    Mapping,
     align,
     candidate_pairs,
     lexical_score,
@@ -99,7 +99,7 @@ def _onto(oid, *classes):
 def test_class_score_uses_synonyms():
     src = _onto("s", _cls("http://a/#1", "zzz", synonyms=["loose stools"]))
     tgt = _onto("t", _cls("http://b/#1", "diarrhoea", synonyms=["loose stools"]))
-    assert align(src, tgt) == [EquivalenceMapping("http://a/#1", "http://b/#1", 1.0)]
+    assert align(src, tgt) == [Mapping("http://a/#1", "http://b/#1", 1.0)]
 
 
 def test_align_scores_each_candidate_on_its_own_texts():
@@ -137,7 +137,7 @@ def test_candidate_pairs_ignores_short_tokens():
 def test_blocking_keeps_equal_labels_of_short_tokens(a, b):
     src = _onto("s", _cls("http://a/#1", a))
     tgt = _onto("t", _cls("http://b/#1", b))
-    expected = [EquivalenceMapping("http://a/#1", "http://b/#1", 1.0)]
+    expected = [Mapping("http://a/#1", "http://b/#1", 1.0)]
     assert align(src, tgt, use_blocking=False) == expected
     assert align(src, tgt) == expected
 
@@ -197,7 +197,7 @@ def test_align_skips_levenshtein_and_stays_exact(source_onto, target_onto, leven
         unequal_text_pairs += sum(a != b for a in s_texts for b in t_texts)
         best = max((lexical_score(a, b) for a in s_texts for b in t_texts), default=0.0)
         if best >= threshold:
-            expected.append(EquivalenceMapping(s_iri, t_iri, best))
+            expected.append(Mapping(s_iri, t_iri, best))
     # without the bound, every text pair with unequal normal forms runs Levenshtein
     assert 0 < calls < unequal_text_pairs
     assert got == expected
@@ -208,7 +208,7 @@ def test_mapping_tsv_round_trip(tmp_path, fixture_mappings):
     path.write_text(render_mappings(fixture_mappings), encoding="utf-8")
     assert read_mappings(str(path)) == fixture_mappings
     # repr floats survive exactly
-    odd = [EquivalenceMapping("http://a/#1", "http://b/#1", 0.1 + 0.2)]
+    odd = [Mapping("http://a/#1", "http://b/#1", 0.1 + 0.2)]
     path.write_text(render_mappings(odd), encoding="utf-8")
     assert read_mappings(str(path))[0].score == 0.1 + 0.2
 

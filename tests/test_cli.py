@@ -287,6 +287,20 @@ def test_chat_command(capsys, workdir, monkeypatch):
     assert row["ts"] == 1700000000
 
 
+# SHA-256 of the log `ontorag chat` writes on the fixture pipeline for
+# "What helps mild nausea?" then "/quit", under SOURCE_DATE_EPOCH=1700000000.
+CHAT_LOG_SHA256 = "17564fbf0a1408569e8a55a203e8bd9a10ba38578ab6683d56989d2e805f4eaa"
+
+
+def test_chat_log_is_pinned(capsys, workdir, monkeypatch):
+    _build_pipeline(capsys, workdir)
+    stdin = io.TextIOWrapper(io.BytesIO(b"What helps mild nausea?\n/quit\n"), encoding="utf-8")
+    monkeypatch.setattr(sys, "stdin", stdin)
+    code, _, _ = run(capsys, "chat", "--store", "store.jsonl", "--dict", "dict.json", "--log", "turns.jsonl")
+    assert code == 0
+    assert hashlib.sha256((workdir / "turns.jsonl").read_bytes()).hexdigest() == CHAT_LOG_SHA256
+
+
 def test_eval_to_stdout(capsys, workdir):
     _build_pipeline(capsys, workdir)
     code, out, _ = run(

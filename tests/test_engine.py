@@ -154,18 +154,18 @@ def test_chat_repl(handbook_store, embedder, fixture_dictionary, tmp_path, monke
     assert len(turns) == 2
     assert turns[0].question == "What helps mild nausea?"
     assert turns[0].augmented.endswith("(related: severe nausea)")
-    assert turns[0].ts == 777
     out = sink.getvalue()
     assert out.count("Answer using only the context below.") == 2
     rows = [json.loads(line) for line in log.read_text(encoding="utf-8").splitlines()]
-    # one row per turn, keys in ChatTurn field order
+    assert rows[0]["ts"] == 777
+    # one row per turn, keys in a fixed order
     assert [list(row) for row in rows] == [["ts", "question", "augmented", "answer", "context_texts"]] * 2
     assert rows == [
         {
-            "ts": t.ts,
+            "ts": 777,
             "question": t.question,
             "augmented": t.augmented,
-            "answer": t.answer,
+            "answer": t.response,
             "context_texts": list(t.context_texts),
         }
         for t in turns

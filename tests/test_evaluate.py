@@ -8,6 +8,10 @@ import pytest
 from ontorag.engine import EchoLlm, answer, render_request
 from ontorag.errors import DataError
 from ontorag.evaluate import (
+    MEASURE_COSINE,
+    TABLE_CONTEXTUAL,
+    TABLE_FACTUAL,
+    TABLE_INDEX,
     EvalRecord,
     SimilarityReport,
     cosine_similarity,
@@ -22,6 +26,7 @@ from ontorag.evaluate import (
     similarity_report,
 )
 from ontorag.fixtures import fixture_text
+from ontorag.ragstore import DeterministicEmbedder, VectorStore, ingest
 
 
 U = np.array([1.0, 2.0, 3.0])
@@ -131,13 +136,15 @@ def test_evaluate_batch_structure(handbook_store, embedder, fixture_dictionary):
     summary = evaluate_batch(records, handbook_store, embedder, EchoLlm(), fixture_dictionary, k=2)
     assert summary.n_records == 2
     assert summary.augmented_count == 2
-    assert summary.with_index == hallucination_index(summary.with_contextual, summary.with_factual)
-    assert summary.without_index == hallucination_index(
-        summary.without_contextual, summary.without_factual
+    assert list(summary.tables) == [TABLE_CONTEXTUAL, TABLE_FACTUAL, TABLE_INDEX]
+    (with_contextual, without_contextual), (with_factual, without_factual), (with_index, without_index) = (
+        summary.tables.values()
     )
-    assert summary.index_change.cosine == pytest.approx(
-        relative_change(summary.with_index.cosine, summary.without_index.cosine)
-    )
+    assert with_index == hallucination_index(with_contextual, with_factual)
+    assert without_index == hallucination_index(without_contextual, without_factual)
+    index_row = render_summary_tsv(summary).split("\n")[7].split("\t")
+    assert index_row[:2] == [TABLE_INDEX, MEASURE_COSINE]
+    assert float(index_row[4]) == pytest.approx(relative_change(with_index.cosine, without_index.cosine), rel=1e-5)
     with pytest.raises(DataError):
         evaluate_batch([], handbook_store, embedder, EchoLlm(), fixture_dictionary)
 
@@ -149,9 +156,10 @@ def test_evaluate_batch_contextual_uses_original_prompt(handbook_store, embedder
         handbook_store, embedder, EchoLlm(), record.prompt, dictionary=fixture_dictionary, k=2
     )
     expected = similarity_report(*embedder.embed([infiltrated.response, record.prompt]))
-    assert summary.with_contextual == expected
+    with_contextual, _ = summary.tables[TABLE_CONTEXTUAL]
+    assert with_contextual == expected
     against_augmented = similarity_report(*embedder.embed([infiltrated.response, infiltrated.augmented]))
-    assert summary.with_contextual != against_augmented
+    assert with_contextual != against_augmented
 
 
 def test_evaluate_batch_without_arm_matches_plain_pipeline(handbook_store, embedder, fixture_dictionary):
@@ -160,7 +168,8 @@ def test_evaluate_batch_without_arm_matches_plain_pipeline(handbook_store, embed
     plain = answer(handbook_store, embedder, EchoLlm(), record.prompt, dictionary=None, k=3)
     system, user = render_request(record.prompt, [t for t in plain.context_texts])
     assert plain.response == f"{system}\n{user}"
-    assert summary.without_factual == similarity_report(*embedder.embed([plain.response, record.ground_truth]))
+    _, without_factual = summary.tables[TABLE_FACTUAL]
+    assert without_factual == similarity_report(*embedder.embed([plain.response, record.ground_truth]))
 
 
 @pytest.mark.parametrize("repeat", [False, True], ids=["distinct-records", "shared-prompt-and-truth"])
@@ -199,16 +208,12 @@ def test_evaluate_batch_embeds_each_distinct_text_once(
     batch = calls[-1]
     assert len(batch) == len(set(batch)) == len(distinct)
     assert set(batch) == distinct
-    for field, reference, arm in (
-        ("with_contextual", "prompt", 1),
-        ("without_contextual", "prompt", 2),
-        ("with_factual", "ground_truth", 1),
-        ("without_factual", "ground_truth", 2),
-    ):
-        expected = mean_report(
-            [similarity_report(*embedder.embed([row[arm].response, getattr(row[0], reference)])) for row in answered]
-        )
-        assert getattr(summary, field) == expected, field
+    for table, reference in ((TABLE_CONTEXTUAL, "prompt"), (TABLE_FACTUAL, "ground_truth")):
+        for arm in (1, 2):
+            expected = mean_report(
+                [similarity_report(*embedder.embed([row[arm].response, getattr(row[0], reference)])) for row in answered]
+            )
+            assert summary.tables[table][arm - 1] == expected, (table, arm)
 
 
 def test_render_summary_tsv(handbook_store, embedder, fixture_dictionary):
@@ -226,4 +231,30 @@ def test_render_summary_tsv(handbook_store, embedder, fixture_dictionary):
         for cell in fields[2:]:
             float(cell)  # every numeric cell parses back
     first = lines[1].split("\t")
-    assert first[2] == "%.6g" % summary.with_contextual.cosine
+    assert first[2] == "%.6g" % summary.tables[TABLE_CONTEXTUAL][0].cosine
+
+
+class ContextOnlyLlm:
+    """Returns only the system message, that is the retrieved context, and never the question."""
+
+    name = "context-only"
+
+    def complete(self, system, user):
+        return system
+
+
+def test_fixture_changes_without_the_echoed_question(tmp_path, fixture_dictionary):
+    # EchoLlm repeats the question, and in the "with" arm that is the infiltrated one.
+    # With the context alone, infiltration lowers contextual cosine on the fixtures.
+    path = tmp_path / "q.jsonl"
+    path.write_text(fixture_text("questions.jsonl"), encoding="utf-8")
+    embedder = DeterministicEmbedder()  # the width `ontorag ingest` uses by default
+    store = VectorStore.new(embedder)
+    ingest(store, [("handbook", fixture_text("handbook.txt"))], embedder)
+    summary = evaluate_batch(read_records(str(path)), store, embedder, ContextOnlyLlm(), fixture_dictionary)
+    cosine_changes = {
+        fields[0]: fields[4]
+        for fields in (line.split("\t") for line in render_summary_tsv(summary).splitlines()[1:])
+        if fields[1] == MEASURE_COSINE
+    }
+    assert cosine_changes == {TABLE_CONTEXTUAL: "-1.15445", TABLE_FACTUAL: "0.829495", TABLE_INDEX: "-0.0337563"}

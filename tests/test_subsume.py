@@ -1,7 +1,7 @@
 import pytest
 
 import ontorag.subsume
-from ontorag.align import EquivalenceMapping, LexicalScorer, align, lexical_score
+from ontorag.align import LexicalScorer, Mapping, align, lexical_score
 from ontorag.errors import DataError, UnknownClassError
 from ontorag.infiltrate import infiltrate
 from ontorag.model import Ontology, OntologyClass, label_tokens, normalize_label
@@ -77,13 +77,13 @@ def test_corpus_negative_multiplier(source_onto, target_onto, fixture_mappings):
 def test_corpus_rejects_bad_mappings(source_onto, target_onto):
     with pytest.raises(UnknownClassError):
         build_subsumption_corpus(
-            source_onto, target_onto, [EquivalenceMapping("http://nope/#x", f"{CS}CS_0001", 1.0)]
+            source_onto, target_onto, [Mapping("http://nope/#x", f"{CS}CS_0001", 1.0)]
         )
     with pytest.raises(DataError):
         build_subsumption_corpus(
             source_onto,
             target_onto,
-            [EquivalenceMapping(f"{S}S_0001", f"{CS}CS_0001", 1.0, relation="SUBSUMED_BY")],
+            [Mapping(f"{S}S_0001", f"{CS}CS_0001", 1.0, relation="SUBSUMED_BY")],
         )
 
 
@@ -171,9 +171,9 @@ def test_build_dictionary_truncates(source_onto, target_onto, fixture_mappings):
 
 def test_build_dictionary_dedupes_by_best_score(source_onto, target_onto):
     dup = [
-        EquivalenceMapping(f"{S}S_0004", f"{CS}CS_0401", 0.5, relation="SUBSUMED_BY"),
-        EquivalenceMapping(f"{S}S_0004", f"{CS}CS_0401", 0.9, relation="SUBSUMED_BY"),
-        EquivalenceMapping(f"{S}S_0004", f"{CS}CS_0402", 0.6, relation="SUBSUMED_BY"),
+        Mapping(f"{S}S_0004", f"{CS}CS_0401", 0.5, relation="SUBSUMED_BY"),
+        Mapping(f"{S}S_0004", f"{CS}CS_0401", 0.9, relation="SUBSUMED_BY"),
+        Mapping(f"{S}S_0004", f"{CS}CS_0402", 0.6, relation="SUBSUMED_BY"),
     ]
     d = build_dictionary(dup, source_onto, target_onto)
     assert d.entries["cough"] == ("dry cough", "productive cough")
@@ -195,7 +195,7 @@ def test_anchor_with_punctuation_matches_exactly(label, prompt):
     # Anchors take the token form infiltration looks up, so no fuzzy edit is spent.
     source = Ontology(id="s", classes={"s:1": OntologyClass(iri="s:1", label=label)})
     target = Ontology(id="t", classes={"t:1": OntologyClass(iri="t:1", label="ileitis")})
-    accepted = [EquivalenceMapping("s:1", "t:1", 0.8, relation="SUBSUMED_BY")]
+    accepted = [Mapping("s:1", "t:1", 0.8, relation="SUBSUMED_BY")]
     d = build_dictionary(accepted, source, target)
     assert list(d.entries) == [" ".join(label_tokens(label))]
     assert infiltrate(prompt, d, fuzzy=False).augmented == f"{prompt} (related: ileitis)"
