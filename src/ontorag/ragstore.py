@@ -18,7 +18,7 @@ import math
 import os
 import time
 from dataclasses import dataclass, field
-from typing import Any, Callable, Protocol, Sequence
+from typing import Any, Callable, NamedTuple, Protocol, Sequence
 
 import numpy as np
 import zlib
@@ -43,6 +43,12 @@ MATRIX_SUFFIX = ".npy"
 # json.dumps(obj, ensure_ascii=False) builds an encoder per call; this one is
 # stateless and gives the same text.
 _JSON_ENCODER = json.JSONEncoder(ensure_ascii=False)
+# Configured as the decoder json.loads uses. Its raw_decode skips the two
+# whitespace scans that json.loads makes on every line; see VectorStore.load.
+_JSON_DECODER = json.JSONDecoder()
+# Rows per block of _row_norms: at width 256 the block's squares take 512 KB,
+# where squaring the whole matrix at once would double its memory.
+_NORM_BLOCK = 256
 
 
 class EmbeddingProvider(Protocol):
@@ -210,8 +216,7 @@ def chunk_document(text: str, size: int = CHUNK_SIZE, overlap: int = CHUNK_OVERL
     return chunks
 
 
-@dataclass(frozen=True)
-class Chunk:
+class Chunk(NamedTuple):
     id: str
     doc_id: str
     text: str
@@ -353,12 +358,23 @@ class VectorStore:
         if rows != len(lines) - 1:
             raise DataError(f"{path}:{header_no}: header says {rows} rows, the file has {len(lines) - 1}")
         store = cls(dim=header["dim"], provider_name=header["provider"], created=header["created"])
+        decode, make_chunk = _JSON_DECODER.raw_decode, tuple.__new__
         chunks: list[Chunk] = []
+        last_id = None
         for lineno, line in lines[1:]:
+            # raw_decode reads one value from the first character. A line it
+            # does not decode to its end (surrounding whitespace, a BOM, a
+            # second value or bad JSON) goes to json.loads, which accepts or
+            # rejects it, and words the error, exactly as for every line.
             try:
-                row = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise DataError(f"{path}:{lineno}: bad chunk row: {exc}") from exc
+                row, end = decode(line)
+            except json.JSONDecodeError:
+                end = -1
+            if end != len(line):
+                try:
+                    row = json.loads(line)
+                except json.JSONDecodeError as exc:
+                    raise DataError(f"{path}:{lineno}: bad chunk row: {exc}") from exc
             # Three keys, all present: exactly id, doc_id and text.
             try:
                 chunk_id, doc_id, text = row["id"], row["doc_id"], row["text"]
@@ -367,12 +383,13 @@ class VectorStore:
                 shaped = False
             if not shaped:
                 raise DataError(f"{path}:{lineno}: chunk row needs exactly the string fields id, doc_id and text")
-            if chunks and chunk_id <= chunks[-1].id:
+            if last_id is not None and chunk_id <= last_id:
                 raise DataError(
-                    f"{path}:{lineno}: chunk id {chunk_id!r} does not follow {chunks[-1].id!r}; "
+                    f"{path}:{lineno}: chunk id {chunk_id!r} does not follow {last_id!r}; "
                     "rows must be sorted by id without duplicates"
                 )
-            chunks.append(Chunk(id=chunk_id, doc_id=doc_id, text=text))
+            last_id = chunk_id
+            chunks.append(make_chunk(Chunk, (chunk_id, doc_id, text)))
         matrix = np.ascontiguousarray(_read_matrix(path + MATRIX_SUFFIX, crc, (rows, store.dim)))
         norms, row_no = _row_norms(matrix)
         if row_no is not None:
@@ -389,16 +406,24 @@ def _row_norms(matrix: np.ndarray, rows=slice(None)) -> tuple[np.ndarray, int | 
 
     A NaN or infinite value makes a row's norm non-finite, and so does a finite
     row whose sum of squares overflows: either would score NaN. The caller
-    reports such a row, so numpy's overflow warning is silenced.
+    reports such a row, so numpy's overflow warning is silenced. The norms are
+    those of ``np.linalg.norm(matrix, axis=1)``, the same per-row sum of
+    squares, taken over blocks of rows so that no full-size square is built.
     """
+    norms = np.empty(matrix.shape[0], dtype=np.float64)
     with np.errstate(over="ignore"):
-        norms = np.linalg.norm(matrix, axis=1)
+        for start in range(0, matrix.shape[0], _NORM_BLOCK):
+            block = matrix[start : start + _NORM_BLOCK]
+            np.sqrt(np.add.reduce(block * block, axis=1), out=norms[start : start + _NORM_BLOCK])
     finite = np.isfinite(norms[rows])
     return norms, None if finite.all() else int(np.argmin(finite))
 
 
 def _read_matrix(path: str, crc: int, shape: tuple[int, int]) -> np.ndarray:
-    """The float64 array in the ``.npy`` at ``path``, checked against the header."""
+    """The float64 array in the ``.npy`` at ``path``, checked against the header.
+
+    The array is a read-only view of the file's bytes, which np.load would copy.
+    """
     try:
         with open(path, "rb") as fh:
             data = fh.read()
@@ -410,14 +435,26 @@ def _read_matrix(path: str, crc: int, shape: tuple[int, int]) -> np.ndarray:
             f"{path}: crc32 {got:08x} does not match the store header's {crc:08x} "
             "(a torn or mismatched pair; re-ingest)"
         )
+    # The magic and header readers are the ones np.load calls. For a 3.0 file
+    # np.load decodes the header as UTF-8 and never strips Python 2 literals
+    # from it, where the 2.0 reader decodes Latin-1 and strips them: the same
+    # for every header numpy writes. Bytes after the array are ignored, as
+    # np.load ignores them.
     try:
-        matrix = np.load(io.BytesIO(data), allow_pickle=False)
-    except (ValueError, EOFError) as exc:  # pickled, object dtype or malformed
+        fp = io.BytesIO(data)
+        version = np.lib.format.read_magic(fp)
+        if version not in ((1, 0), (2, 0), (3, 0)):
+            raise ValueError(f"unsupported .npy format version {version}")
+        read_header = np.lib.format.read_array_header_1_0 if version == (1, 0) else np.lib.format.read_array_header_2_0
+        got_shape, fortran_order, dtype = read_header(fp)
+        if dtype.hasobject:
+            raise ValueError("Object arrays cannot be loaded when allow_pickle=False")
+        if dtype != np.float64 or got_shape != shape:
+            raise DataError(f"{path}: expected a float64 array of shape {shape}, got {dtype} {got_shape}")
+        flat = np.frombuffer(data, dtype=dtype, count=shape[0] * shape[1], offset=fp.tell())
+    except ValueError as exc:  # not an .npy, a bad header, an object dtype or too few bytes
         raise DataError(f"{path}: not a plain .npy array: {exc}") from exc
-    dtype, got_shape = getattr(matrix, "dtype", None), getattr(matrix, "shape", None)
-    if dtype != np.float64 or got_shape != shape:
-        raise DataError(f"{path}: expected a float64 array of shape {shape}, got {dtype} {got_shape}")
-    return matrix
+    return flat.reshape(shape[::-1]).T if fortran_order else flat.reshape(shape)
 
 
 def timestamp() -> int:

@@ -172,6 +172,18 @@ def test_three_document_store_is_pinned(capsys, workdir):
     assert digests == THREE_DOC_SHA256
 
 
+def test_ingest_onto_a_loaded_store_is_pinned(capsys, workdir):
+    # the second ingest merges into a loaded store, whose matrix is a read-only
+    # view of the file's bytes, and writes the same pair as one ingest of all three
+    docs = _three_docs(workdir)
+    for batch in (docs[:4], docs[4:]):
+        code, _, err = run(capsys, "ingest", "--store", "s.jsonl", *batch, "--size", "200", "--overlap", "40")
+        assert code == 0, err
+        assert not ontorag.ragstore.VectorStore.load("s.jsonl").matrix.flags.writeable
+    digests = {name: hashlib.sha256((workdir / name).read_bytes()).hexdigest() for name in THREE_DOC_SHA256}
+    assert digests == THREE_DOC_SHA256
+
+
 def _count_calls(monkeypatch, *targets):
     """Count calls of each ``(class, method)`` in the ragstore module."""
     calls = {}

@@ -1,18 +1,22 @@
 import io
 import json
 import re
+import tempfile
 import threading
 import zlib
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 import ontorag.ragstore as ragstore
 from ontorag.errors import DataError, ProviderError
 from ontorag.fixtures import fixture_text
 from ontorag.model import label_tokens
+from ontorag.parse import numbered_lines
 from ontorag.ragstore import (
     Chunk,
     DeterministicEmbedder,
@@ -465,8 +469,17 @@ class TestStorePair:
             _npy(np.ones(8)),
             b"not an npy file",
             b"",
+            b"PK\x03\x04not a zip archive",
+            b"\x93NUMPY\x04\x00" + _npy(np.ones((1, 8)))[8:],
+            # cut short; the CRC is that of the short bytes, so only the read can tell
+            _npy(np.ones((1, 8)))[:4],
+            _npy(np.ones((1, 8)))[:60],
+            _npy(np.ones((1, 8)))[:-8],
         ],
-        ids=["object", "pickled", "float32", "big-endian", "width", "1d", "garbage", "empty"],
+        ids=[
+            "object", "pickled", "float32", "big-endian", "width", "1d", "garbage", "empty",
+            "zip-magic", "version-4", "short-magic", "short-header", "short-data",
+        ],
     )
     def test_matrix_must_be_plain_float64(self, tmp_path, data):
         path = tmp_path / "s.jsonl"
@@ -529,6 +542,161 @@ class TestStorePair:
         path.write_text(f"{header}\n", encoding="utf-8")
         with pytest.raises(DataError, match=r"old\.jsonl:1: .*re-ingest"):
             VectorStore.load(str(path))
+
+
+def _write_row_lines(path, lines):
+    """A store whose row lines are ``lines`` as given; the header counts the non-blank ones."""
+    rows = sum(1 for line in lines if line.strip())
+    data = _npy(np.ones((rows, 8)))
+    header = {"dim": 8, "provider": "p", "created": 1, "rows": rows, "crc32": zlib.crc32(data)}
+    path.write_text("\n".join([json.dumps(header), *lines]) + "\n", encoding="utf-8")
+    _matrix_path(path).write_bytes(data)
+
+
+def _reference_rows(path):
+    """The chunk rows of the store at ``path`` by the rules of one ``json.loads`` per line.
+
+    Returns the rows as ``(id, doc_id, text)`` tuples, or the text of the
+    DataError that the first bad row gives.
+    """
+    chunks = []
+    for lineno, line in numbered_lines(Path(path).read_text(encoding="utf-8"))[1:]:
+        try:
+            row = json.loads(line)
+        except json.JSONDecodeError as exc:
+            return f"{path}:{lineno}: bad chunk row: {exc}"
+        if not (
+            isinstance(row, dict)
+            and row.keys() == {"id", "doc_id", "text"}
+            and all(type(value) is str for value in row.values())
+        ):
+            return f"{path}:{lineno}: chunk row needs exactly the string fields id, doc_id and text"
+        if chunks and row["id"] <= chunks[-1][0]:
+            return (
+                f"{path}:{lineno}: chunk id {row['id']!r} does not follow {chunks[-1][0]!r}; "
+                "rows must be sorted by id without duplicates"
+            )
+        chunks.append((row["id"], row["doc_id"], row["text"]))
+    return chunks
+
+
+@st.composite
+def _mutated_row_lines(draw):
+    """The row lines of a three-row store, each kept or changed in one way, with blank lines between."""
+    lines = []
+    for cid in "abc":
+        row = {**_ROW, "id": cid}
+        how = draw(st.sampled_from(["keep", "lead", "trail", "bom", "two", "split", "drop", "extra"]))
+        if how == "drop":
+            del row[draw(st.sampled_from(sorted(row)))]
+        elif how == "extra":
+            row["note"] = "x"
+        line = json.dumps(row, separators=draw(st.sampled_from([(", ", ": "), (",", ":")])))
+        pad = draw(st.text(alphabet=" \t", min_size=1, max_size=3))
+        if how == "lead":
+            line = pad + line
+        elif how == "trail":
+            line += pad
+        elif how == "bom":
+            line = "\ufeff" + line
+        elif how == "two":
+            line += draw(st.sampled_from(["", " ", ",", ", "])) + json.dumps({**_ROW, "id": cid + "2"})
+        if how == "split":
+            at = draw(st.integers(1, len(line) - 1))
+            lines += [line[:at], line[at:]]
+        else:
+            lines.append(line)
+        lines += draw(st.lists(st.sampled_from(["", " ", "\t", "\f", " \f "]), max_size=2))
+    return lines
+
+
+class TestRowDecode:
+    """``load`` decodes a row line exactly as ``json.loads`` of that line does."""
+
+    def test_rows_joined_across_lines_are_rejected_at_their_line(self, tmp_path):
+        # Three row lines for three rows, but line 2 holds two objects and rows
+        # c spans lines 3 and 4. Decoding "[" + ",".join(lines) + "]" would
+        # accept this file.
+        lines = [
+            '{"id":"a","doc_id":"d","text":"t"}, {"id":"b","doc_id":"d","text":"t"}',
+            '{"id":"c","doc_id":"d"',
+            '"text":"t"}',
+        ]
+        assert len(json.loads("[" + ",".join(lines) + "]")) == 3
+        path = tmp_path / "s.jsonl"
+        _write_row_lines(path, lines)
+        with pytest.raises(DataError, match=r"s\.jsonl:2: bad chunk row: Extra data"):
+            VectorStore.load(str(path))
+
+    @given(_mutated_row_lines())
+    def test_load_accepts_what_per_line_json_loads_accepts(self, lines):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "s.jsonl"
+            _write_row_lines(path, lines)
+            want = _reference_rows(path)
+            try:
+                got = [(c.id, c.doc_id, c.text) for c in VectorStore.load(str(path)).chunks]
+            except DataError as exc:
+                got = str(exc)
+        assert got == want
+
+    def test_loaded_rows_are_chunks(self, tmp_path):
+        path = tmp_path / "s.jsonl"
+        _write_pair(path, [{**_ROW, "id": cid} for cid in "ab"], np.ones((2, 8)))
+        chunks = VectorStore.load(str(path)).chunks
+        assert [type(c) for c in chunks] == [Chunk, Chunk]
+        assert chunks[1] == Chunk(id="b", doc_id="d", text="t")
+        assert (chunks[1].id, chunks[1].doc_id, chunks[1].text) == ("b", "d", "t")
+        with pytest.raises(AttributeError):
+            chunks[1].id = "c"
+
+
+class TestMatrixRead:
+    """The matrix is read in place from the checked bytes, and the same ``.npy`` files load."""
+
+    _IDS = [{**_ROW, "id": cid} for cid in "abc"]
+
+    @pytest.mark.parametrize("version", [(1, 0), (2, 0), (3, 0)])
+    def test_every_npy_version_loads(self, tmp_path, version):
+        matrix = np.arange(24, dtype=np.float64).reshape(3, 8) / 7
+        buf = io.BytesIO()
+        np.lib.format.write_array(buf, matrix, version=version)
+        path = tmp_path / "s.jsonl"
+        _write_pair(path, self._IDS, buf.getvalue())
+        loaded = VectorStore.load(str(path))
+        assert loaded.matrix.tobytes() == matrix.tobytes()
+        assert loaded.matrix.flags.c_contiguous and not loaded.matrix.flags.writeable
+
+    def test_trailing_bytes_load_as_np_load_reads_them(self, tmp_path):
+        data = _npy(np.arange(24, dtype=np.float64).reshape(3, 8)) + b"\x00trailing bytes"
+        path = tmp_path / "s.jsonl"
+        _write_pair(path, self._IDS, data)
+        assert VectorStore.load(str(path)).matrix.tobytes() == np.load(io.BytesIO(data)).tobytes()
+
+
+_NORM_VALUES = st.one_of(
+    st.floats(-1e3, 1e3),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([np.nan, np.inf, -np.inf, 1e200, -1e200, 1.7e154]),
+)
+
+
+@given(
+    arrays(np.float64, st.tuples(st.integers(0, 600), st.integers(1, 24)), elements=_NORM_VALUES),
+    st.integers(0, 600),
+)
+@example(np.full((3, 8), 1e200), 0)
+@example(np.ones((0, 8)), 0)
+def test_row_norms_match_np_linalg_norm(matrix, start):
+    with np.errstate(over="ignore"):
+        want = np.linalg.norm(matrix, axis=1)
+    norms, bad = ragstore._row_norms(matrix)
+    assert norms.tobytes() == want.tobytes()
+    finite = np.isfinite(want)
+    assert bad == (None if finite.all() else int(np.argmin(finite)))
+    # a later range of rows, as add_chunks passes the new rows' positions
+    _, bad = ragstore._row_norms(matrix, slice(start, None))
+    assert bad == (None if finite[start:].all() else int(np.argmin(finite[start:])))
 
 
 class TestIngest:
