@@ -45,10 +45,19 @@ def stdin_lines() -> Iterator[str]:
     if sys.stdin is None:
         raise DataError("<stdin>: standard input is closed")
     for lineno, raw in enumerate(sys.stdin.buffer, start=1):
-        try:
-            yield raw.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise _not_utf8("<stdin>", exc, lineno) from None
+        yield decode_utf8(raw, "<stdin>", lineno)
+
+
+def decode_utf8(data: bytes, name: str, first_line: int = 1) -> str:
+    """``data``, which starts on line ``first_line`` of ``name``, decoded as UTF-8.
+
+    Bytes that are not UTF-8 are a DataError naming ``name`` and the line of
+    the first bad byte.
+    """
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise _not_utf8(name, exc, first_line) from None
 
 
 def _not_utf8(name: str, exc: UnicodeDecodeError, first_line: int) -> DataError:

@@ -2,12 +2,12 @@
 
 A store is a pair of files, and only this module knows their layout. The
 JSONL file holds one header object (embedding dimension, provider name,
-creation timestamp, row count and the CRC-32 of the sidecar's bytes), then one
-``{"id", "doc_id", "text"}`` object per chunk. The sidecar, the JSONL path plus
-``.npy``, holds the float64 matrix whose row ``i`` is the embedding of chunk
-``i``. Retrieval is a full cosine scan (see
-``_kernels``), so results are exact and reproducible; ties break on ascending
-chunk id.
+creation timestamp, row count, the CRC-32 of the sidecar's bytes and the
+CRC-32 of the row bytes below the header), then one ``{"id", "doc_id",
+"text"}`` object per chunk, one per line, sorted by id. The sidecar, the JSONL
+path plus ``.npy``, holds the float64 matrix whose row ``i`` is the embedding
+of chunk ``i``. Retrieval is a full cosine scan (see ``_kernels``), so results
+are exact and reproducible; ties break on ascending chunk id.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ import zlib
 from ._kernels import cosine_scan, top_k
 from .errors import DataError, ProviderError
 from .model import label_tokens
-from .parse import numbered_lines, read_text
+from .parse import decode_utf8
 
 CHUNK_SIZE = 512
 CHUNK_OVERLAP = 64
@@ -44,7 +44,7 @@ MATRIX_SUFFIX = ".npy"
 # stateless and gives the same text.
 _JSON_ENCODER = json.JSONEncoder(ensure_ascii=False)
 # Configured as the decoder json.loads uses. Its raw_decode skips the two
-# whitespace scans that json.loads makes on every line; see VectorStore.load.
+# whitespace scans that json.loads makes on every line; see VectorStore._row.
 _JSON_DECODER = json.JSONDecoder()
 # Rows per block of _row_norms: at width 256 the block's squares take 512 KB,
 # where squaring the whole matrix at once would double its memory.
@@ -229,14 +229,22 @@ class VectorStore:
     ``matrix`` is the only copy of the embeddings: row ``i`` is the vector of
     ``chunks[i]``, and both are kept in ascending chunk-id order, so a stable
     sort on score alone breaks ties on id.
+
+    A loaded store keeps its rows as undecoded JSONL lines. A row is decoded
+    the first time it is needed, and only once: :meth:`nearest` decodes the
+    rows it returns, and ``chunks`` all the rest.
     """
 
     dim: int
     provider_name: str
     created: int
-    chunks: list[Chunk] = field(default_factory=list, init=False)
     matrix: np.ndarray = field(init=False, repr=False)
     norms: np.ndarray = field(init=False, repr=False)
+    # Row i's Chunk, or None until _row decodes _lines[i]. _lines is None once
+    # every row is decoded and checked for id order; _path names the JSONL.
+    _chunks: list = field(default_factory=list, init=False, repr=False)
+    _lines: list[str] | None = field(default=None, init=False, repr=False)
+    _path: str = field(default="", init=False, repr=False)
 
     def __post_init__(self) -> None:
         self.matrix = np.empty((0, self.dim), dtype=np.float64)
@@ -247,7 +255,50 @@ class VectorStore:
         return cls(dim=provider.dim, provider_name=provider.name, created=timestamp())
 
     def __len__(self) -> int:
-        return len(self.chunks)
+        return len(self._chunks)
+
+    @property
+    def chunks(self) -> list[Chunk]:
+        """Every chunk, in id order. The first read decodes a loaded store's remaining rows."""
+        if self._lines is not None:
+            last_id = None
+            for i, chunk in enumerate(self._chunks):
+                chunk = chunk or self._row(i)
+                if last_id is not None and chunk.id <= last_id:
+                    raise DataError(
+                        f"{self._path}:{i + 2}: chunk id {chunk.id!r} does not follow {last_id!r}; "
+                        "rows must be sorted by id without duplicates"
+                    )
+                last_id = chunk.id
+            self._lines = None
+        return self._chunks
+
+    def _row(self, i: int) -> Chunk:
+        """Decode row ``i`` from its JSONL line ``i + 2``, check its shape and keep it."""
+        line = self._lines[i]
+        # raw_decode reads one value from the first character. A line it does
+        # not decode to its end (surrounding whitespace, a BOM, a second value
+        # or bad JSON) goes to json.loads, which accepts or rejects it, and
+        # words the error, exactly as for every line.
+        try:
+            row, end = _JSON_DECODER.raw_decode(line)
+        except json.JSONDecodeError:
+            end = -1
+        if end != len(line):
+            try:
+                row = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise DataError(f"{self._path}:{i + 2}: bad chunk row: {exc}") from exc
+        # Three keys, all present: exactly id, doc_id and text.
+        try:
+            chunk_id, doc_id, text = row["id"], row["doc_id"], row["text"]
+            shaped = len(row) == 3 and type(chunk_id) is str and type(doc_id) is str and type(text) is str
+        except (KeyError, TypeError):
+            shaped = False
+        if not shaped:
+            raise DataError(f"{self._path}:{i + 2}: chunk row needs exactly the string fields id, doc_id and text")
+        chunk = self._chunks[i] = tuple.__new__(Chunk, (chunk_id, doc_id, text))
+        return chunk
 
     def add_chunks(self, new_chunks: Sequence[Chunk], vectors: np.ndarray) -> None:
         """Validate then merge; the store is untouched if anything is wrong.
@@ -260,26 +311,27 @@ class VectorStore:
                 f"{len(new_chunks)} chunks need vectors of shape ({len(new_chunks)}, {self.dim}), "
                 f"got {vectors.shape}"
             )
-        seen = {c.id for c in self.chunks}
+        old_chunks = self.chunks
+        seen = {c.id for c in old_chunks}
         for chunk in new_chunks:
             if chunk.id in seen:
                 raise DataError(f"duplicate chunk id {chunk.id}")
             seen.add(chunk.id)
-        chunks = self.chunks + list(new_chunks)
+        chunks = old_chunks + list(new_chunks)
         order = sorted(range(len(chunks)), key=lambda i: chunks[i].id)
         # Scatter old and new rows straight to their sorted places: one matrix
         # allocation, not a concatenated copy and then a reordered one.
         rank = np.empty(len(chunks), dtype=np.intp)
         rank[order] = np.arange(len(chunks))
         matrix = np.empty((len(chunks), self.dim), dtype=np.float64)
-        matrix[rank[: len(self.chunks)]] = self.matrix
-        matrix[rank[len(self.chunks) :]] = vectors
-        norms, bad = _row_norms(matrix, rank[len(self.chunks) :])
+        matrix[rank[: len(old_chunks)]] = self.matrix
+        matrix[rank[len(old_chunks) :]] = vectors
+        norms, bad = _row_norms(matrix, rank[len(old_chunks) :])
         if bad is not None:
             raise DataError(
                 f"chunk {new_chunks[bad].id}: embedding has a non-finite value or its norm overflows"
             )
-        self.chunks = [chunks[i] for i in order]
+        self._chunks = [chunks[i] for i in order]
         self.matrix = matrix
         self.norms = norms
 
@@ -291,7 +343,8 @@ class VectorStore:
         """
         if k < 1:
             raise DataError("k must be >= 1")
-        if not self.chunks:
+        chunks = self._chunks
+        if not chunks:
             return []
         q = np.ascontiguousarray(np.asarray(query, dtype=np.float64).reshape(-1))
         if q.shape[0] != self.dim:
@@ -303,101 +356,94 @@ class VectorStore:
         if not math.isfinite(qnorm):
             raise DataError("query embedding has a non-finite value or its norm overflows")
         ranked = top_k(cosine_scan(self.matrix, self.norms, q, qnorm), k)
-        return [(self.chunks[i], score) for i, score in ranked]
+        # A hit decoded before costs an index and a truth test: a Chunk is a
+        # non-empty tuple, an undecoded row None.
+        return [(chunks[i] or self._row(i), score) for i, score in ranked]
 
     def to_jsonl(self, path: str) -> list[tuple[str, str | bytes]]:
         """The files of a store saved at ``path``, as (path, content) in write order.
 
         The ``.npy`` comes first and the JSONL, whose header holds the CRC-32 of
         the ``.npy`` bytes, last: a crash between the two writes leaves a pair
-        that :meth:`load` rejects.
+        that :meth:`load` rejects. The header also holds the CRC-32 of the
+        UTF-8 bytes of the rows below it, one line each and no blank line.
         """
         buf = io.BytesIO()
         np.save(buf, self.matrix, allow_pickle=False)
         npy = buf.getvalue()
+        encode = _JSON_ENCODER.encode
+        rows = "".join([encode({"id": c.id, "doc_id": c.doc_id, "text": c.text}) + "\n" for c in self.chunks])
         header = {
             "dim": self.dim,
             "provider": self.provider_name,
             "created": self.created,
-            "rows": len(self.chunks),
+            "rows": len(self._chunks),
             "crc32": zlib.crc32(npy),
+            "rows_crc32": zlib.crc32(rows.encode("utf-8")),
         }
-        encode = _JSON_ENCODER.encode
-        lines = [encode(header)]
-        for chunk in self.chunks:
-            lines.append(encode({"id": chunk.id, "doc_id": chunk.doc_id, "text": chunk.text}))
-        return [(path + MATRIX_SUFFIX, npy), (path, "\n".join(lines) + "\n")]
+        return [(path + MATRIX_SUFFIX, npy), (path, encode(header) + "\n" + rows)]
 
     @classmethod
     def load(cls, path: str) -> "VectorStore":
-        """Read the JSONL at ``path`` and its ``.npy``; a mismatched pair is a DataError."""
-        lines = numbered_lines(read_text(path))
-        if not lines:
+        """Read and check the JSONL at ``path`` and its ``.npy``; a mismatched pair is a DataError.
+
+        The header is line 1 and every line after it is a row: the writer puts
+        no blank line in, and the header's ``rows_crc32`` covers the row bytes
+        as written. Both CRCs, the row count and every embedding are checked
+        here; a row line is decoded only when a hit or ``chunks`` needs it.
+        """
+        with open(path, "rb") as fh:
+            data = fh.read()
+        text = decode_utf8(data, path)
+        if not text or text.isspace():
             raise DataError(f"{path}: empty store file")
-        header_no, header_line = lines[0]
+        lines = text.split("\n")
+        if lines[-1] == "":
+            lines.pop()
         try:
-            header = json.loads(header_line)
+            header = json.loads(lines[0])
         except json.JSONDecodeError as exc:
-            raise DataError(f"{path}:{header_no}: bad store header: {exc}") from exc
+            raise DataError(f"{path}:1: bad store header: {exc}") from exc
         if (
             not isinstance(header, dict)
             or not isinstance(header.get("dim"), int)
             or not isinstance(header.get("provider"), str)
             or not isinstance(header.get("created"), int)
         ):
-            raise DataError(f"{path}:{header_no}: store header needs dim, provider, created")
+            raise DataError(f"{path}:1: store header needs dim, provider, created")
         if header["dim"] < MIN_DIM:
-            raise DataError(f"{path}:{header_no}: store dim must be >= {MIN_DIM}")
-        # The whole header is checked before any row is decoded, so an old store fails at line 1.
-        rows, crc = header.get("rows"), header.get("crc32")
+            raise DataError(f"{path}:1: store dim must be >= {MIN_DIM}")
+        # The whole header is checked before the rows, so an old store fails at line 1.
+        rows, crc, rows_crc = header.get("rows"), header.get("crc32"), header.get("rows_crc32")
         if not isinstance(rows, int) or not isinstance(crc, int):
             raise DataError(
-                f"{path}:{header_no}: store header needs rows and crc32; re-ingest a store "
+                f"{path}:1: store header needs rows and crc32; re-ingest a store "
                 f"written without a {MATRIX_SUFFIX} matrix file"
             )
+        if not isinstance(rows_crc, int):
+            raise DataError(
+                f"{path}:1: store header needs rows_crc32; re-ingest a store written before rows were checksummed"
+            )
+        # The rows are the bytes after the first newline; a file without one has none.
+        newline = data.find(b"\n")
+        got = zlib.crc32(memoryview(data)[newline + 1 :] if newline >= 0 else b"")
+        if got != rows_crc:
+            raise DataError(
+                f"{path}: rows crc32 {got:08x} does not match the store header's {rows_crc:08x} "
+                "(an edited or torn file; re-ingest)"
+            )
         if rows != len(lines) - 1:
-            raise DataError(f"{path}:{header_no}: header says {rows} rows, the file has {len(lines) - 1}")
+            raise DataError(f"{path}:1: header says {rows} rows, the file has {len(lines) - 1}")
         store = cls(dim=header["dim"], provider_name=header["provider"], created=header["created"])
-        decode, make_chunk = _JSON_DECODER.raw_decode, tuple.__new__
-        chunks: list[Chunk] = []
-        last_id = None
-        for lineno, line in lines[1:]:
-            # raw_decode reads one value from the first character. A line it
-            # does not decode to its end (surrounding whitespace, a BOM, a
-            # second value or bad JSON) goes to json.loads, which accepts or
-            # rejects it, and words the error, exactly as for every line.
-            try:
-                row, end = decode(line)
-            except json.JSONDecodeError:
-                end = -1
-            if end != len(line):
-                try:
-                    row = json.loads(line)
-                except json.JSONDecodeError as exc:
-                    raise DataError(f"{path}:{lineno}: bad chunk row: {exc}") from exc
-            # Three keys, all present: exactly id, doc_id and text.
-            try:
-                chunk_id, doc_id, text = row["id"], row["doc_id"], row["text"]
-                shaped = len(row) == 3 and type(chunk_id) is str and type(doc_id) is str and type(text) is str
-            except (KeyError, TypeError):
-                shaped = False
-            if not shaped:
-                raise DataError(f"{path}:{lineno}: chunk row needs exactly the string fields id, doc_id and text")
-            if last_id is not None and chunk_id <= last_id:
-                raise DataError(
-                    f"{path}:{lineno}: chunk id {chunk_id!r} does not follow {last_id!r}; "
-                    "rows must be sorted by id without duplicates"
-                )
-            last_id = chunk_id
-            chunks.append(make_chunk(Chunk, (chunk_id, doc_id, text)))
         matrix = np.ascontiguousarray(_read_matrix(path + MATRIX_SUFFIX, crc, (rows, store.dim)))
         norms, row_no = _row_norms(matrix)
         if row_no is not None:
             raise DataError(
-                f"{path}:{lines[row_no + 1][0]}: embedding (row {row_no} of {path}{MATRIX_SUFFIX}) "
+                f"{path}:{row_no + 2}: embedding (row {row_no} of {path}{MATRIX_SUFFIX}) "
                 "has a non-finite value or its norm overflows"
             )
-        store.chunks, store.matrix, store.norms = chunks, matrix, norms
+        store.matrix, store.norms = matrix, norms
+        store._chunks, store._lines, store._path = [None] * rows, lines[1:], path
         return store
 
 
@@ -435,15 +481,13 @@ def _read_matrix(path: str, crc: int, shape: tuple[int, int]) -> np.ndarray:
             f"{path}: crc32 {got:08x} does not match the store header's {crc:08x} "
             "(a torn or mismatched pair; re-ingest)"
         )
-    # The magic and header readers are the ones np.load calls. For a 3.0 file
-    # np.load decodes the header as UTF-8 and never strips Python 2 literals
-    # from it, where the 2.0 reader decodes Latin-1 and strips them: the same
-    # for every header numpy writes. Bytes after the array are ignored, as
-    # np.load ignores them.
+    # The magic and header readers are the ones np.load calls. Only the
+    # versions np.save writes for a float64 matrix, 1.0 and 2.0, are read.
+    # Bytes after the array are ignored, as np.load ignores them.
     try:
         fp = io.BytesIO(data)
         version = np.lib.format.read_magic(fp)
-        if version not in ((1, 0), (2, 0), (3, 0)):
+        if version not in ((1, 0), (2, 0)):
             raise ValueError(f"unsupported .npy format version {version}")
         read_header = np.lib.format.read_array_header_1_0 if version == (1, 0) else np.lib.format.read_array_header_2_0
         got_shape, fortran_order, dtype = read_header(fp)

@@ -3,9 +3,11 @@ import hashlib
 import io
 import json
 import os
+import re
 import stat
 import subprocess
 import sys
+import zlib
 
 import pytest
 
@@ -157,7 +159,7 @@ def _three_docs(workdir):
 
 # SHA-256 of the store pair `_three_docs` ingests under SOURCE_DATE_EPOCH=1700000000.
 THREE_DOC_SHA256 = {
-    "s.jsonl": "96d8f13528380511823a01aee126d4b16b1e408bbdb65b1f55d45e35933a4ed6",
+    "s.jsonl": "78c077f1ac50c17186c249dcf6026cfac137de75a9451c7f56398c08d75d540a",
     "s.jsonl.npy": "a81fecc88b42168ca271847f27adc1ed309ac27f4b0f24d26bd9c11bf94c0f68",
 }
 
@@ -571,6 +573,19 @@ class TestExitCodes:
         )
         assert code == 2
         assert "error: store.jsonl.npy: " in err
+
+    def test_bad_row_among_the_hits_names_its_line(self, capsys, workdir):
+        # every row loses its text; the header's rows_crc32 is made to match
+        _build_pipeline(capsys, workdir)
+        path = workdir / "store.jsonl"
+        head, _, body = path.read_text(encoding="utf-8").partition("\n")
+        body = body.replace('"text":', '"txt":')
+        header = json.loads(head)
+        header["rows_crc32"] = zlib.crc32(body.encode("utf-8"))
+        path.write_text(json.dumps(header) + "\n" + body, encoding="utf-8")
+        code, out, err = run(capsys, "ask", "--store", "store.jsonl", "--question", "nausea")
+        assert code == 2 and out == ""
+        assert re.fullmatch(r"error: store\.jsonl:\d+: chunk row needs exactly the string fields id, doc_id and text\n", err)
 
     def test_provider_failure_maps_to_3(self, capsys, workdir, refused_url):
         _build_pipeline(capsys, workdir)
