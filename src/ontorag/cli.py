@@ -224,8 +224,7 @@ def cmd_ingest(args: argparse.Namespace) -> int:
         (args.doc_id or os.path.splitext(os.path.basename(path))[0], read_text(path)) for path in args.doc
     ]
     added = ingest(store, docs, provider, size=args.size, overlap=args.overlap)
-    for target, data in store.to_jsonl(args.store):
-        _atomic_write(target, data)
+    _atomic_write(args.store, store.to_jsonl())
     print(f"ingested {added} chunks from {len(args.doc)} documents; store has {len(store)} -> {args.store}")
     return 0
 
@@ -309,7 +308,7 @@ def build_parser() -> _Parser:
     matching.add_argument("--bare", action="store_true", help="append terms without the (related: ...) marker")
     # ask, chat and eval embed with the provider the store's header names.
     rag = _Parser(add_help=False, parents=[matching])
-    rag.add_argument("--store", required=True, help="store JSONL path (its matrix is PATH.npy)")
+    rag.add_argument("--store", required=True, help="store file from 'ingest'")
     rag.add_argument(
         "--llm",
         default=os.environ.get("ONTORAG_LLM", EchoLlm.name),
@@ -370,7 +369,7 @@ def build_parser() -> _Parser:
         help=f"a new store's embedding provider: {DeterministicEmbedder.name!r} or an http(s) URL "
         "(default: $ONTORAG_PROVIDER, else deterministic); an existing store's header must match",
     )
-    p.add_argument("--store", required=True, help="store JSONL and PATH.npy; created if missing")
+    p.add_argument("--store", required=True, help="store file; created if missing")
     p.add_argument("--doc", required=True, action="append", help="document text file (repeatable)")
     p.add_argument("--doc-id", help="document id (single --doc only; default: file stem)")
     p.add_argument("--dim", type=int, help=f"a new store's embedding width (default: {DEFAULT_DIM}); an existing store's must match")

@@ -48,14 +48,14 @@ def stdin_lines() -> Iterator[str]:
         yield decode_utf8(raw, "<stdin>", lineno)
 
 
-def decode_utf8(data: bytes, name: str, first_line: int = 1) -> str:
+def decode_utf8(data: bytes | memoryview, name: str, first_line: int = 1) -> str:
     """``data``, which starts on line ``first_line`` of ``name``, decoded as UTF-8.
 
     Bytes that are not UTF-8 are a DataError naming ``name`` and the line of
     the first bad byte.
     """
     try:
-        return data.decode("utf-8")
+        return str(data, "utf-8")
     except UnicodeDecodeError as exc:
         raise _not_utf8(name, exc, first_line) from None
 

@@ -1,18 +1,17 @@
 """Document chunking, embedding, and an exact-scan vector store.
 
-A store is a pair of files, and only this module knows their layout. The
-JSONL file holds one header object (embedding dimension, provider name,
-creation timestamp, row count, the CRC-32 of the sidecar's bytes and the
-CRC-32 of the row bytes below the header), then one ``{"id", "doc_id",
-"text"}`` object per chunk, one per line, sorted by id. The sidecar, the JSONL
-path plus ``.npy``, holds the float64 matrix whose row ``i`` is the embedding
-of chunk ``i``. Retrieval is a full cosine scan (see ``_kernels``), so results
-are exact and reproducible; ties break on ascending chunk id.
+A store is one file, and only this module knows its layout. Line 1 is a
+JSON header (embedding dimension, provider name, creation timestamp, row
+count and the CRC-32 of every byte after line 1), padded with spaces so
+that the matrix starts at a multiple of 64 bytes. Then come one ``{"id",
+"doc_id", "text"}`` object per chunk, one per line, sorted by id, and last
+the float64 matrix, little-endian, whose row ``i`` is the embedding of chunk
+``i``. Retrieval is a full cosine scan (see ``_kernels``), so results are
+exact and reproducible; ties break on ascending chunk id.
 """
 
 from __future__ import annotations
 
-import io
 import json
 import math
 import os
@@ -39,13 +38,12 @@ MIN_DIM = 8
 DEFAULT_DIM = 256
 DEFAULT_K = 4
 _HASH_SEED = 0x9E3779B9
-MATRIX_SUFFIX = ".npy"
+# The store file's matrix starts at a multiple of this many bytes.
+_MATRIX_ALIGN = 64
+_HEADER_KEYS = {"dim", "provider", "created", "rows", "crc32"}
 # json.dumps(obj, ensure_ascii=False) builds an encoder per call; this one is
 # stateless and gives the same text.
 _JSON_ENCODER = json.JSONEncoder(ensure_ascii=False)
-# Configured as the decoder json.loads uses. Its raw_decode skips the two
-# whitespace scans that json.loads makes on every line; see VectorStore._row.
-_JSON_DECODER = json.JSONDecoder()
 # Rows per block of _row_norms: at width 256 the block's squares take 512 KB,
 # where squaring the whole matrix at once would double its memory.
 _NORM_BLOCK = 256
@@ -230,7 +228,7 @@ class VectorStore:
     ``chunks[i]``, and both are kept in ascending chunk-id order, so a stable
     sort on score alone breaks ties on id.
 
-    A loaded store keeps its rows as undecoded JSONL lines. A row is decoded
+    A loaded store keeps its rows as undecoded lines. A row is decoded
     the first time it is needed, and only once: :meth:`nearest` decodes the
     rows it returns, and ``chunks`` all the rest.
     """
@@ -241,7 +239,7 @@ class VectorStore:
     matrix: np.ndarray = field(init=False, repr=False)
     norms: np.ndarray = field(init=False, repr=False)
     # Row i's Chunk, or None until _row decodes _lines[i]. _lines is None once
-    # every row is decoded and checked for id order; _path names the JSONL.
+    # every row is decoded and checked for id order; _path names the file.
     _chunks: list = field(default_factory=list, init=False, repr=False)
     _lines: list[str] | None = field(default=None, init=False, repr=False)
     _path: str = field(default="", init=False, repr=False)
@@ -274,21 +272,11 @@ class VectorStore:
         return self._chunks
 
     def _row(self, i: int) -> Chunk:
-        """Decode row ``i`` from its JSONL line ``i + 2``, check its shape and keep it."""
-        line = self._lines[i]
-        # raw_decode reads one value from the first character. A line it does
-        # not decode to its end (surrounding whitespace, a BOM, a second value
-        # or bad JSON) goes to json.loads, which accepts or rejects it, and
-        # words the error, exactly as for every line.
+        """Decode row ``i`` from its line ``i + 2``, check its shape and keep it."""
         try:
-            row, end = _JSON_DECODER.raw_decode(line)
-        except json.JSONDecodeError:
-            end = -1
-        if end != len(line):
-            try:
-                row = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise DataError(f"{self._path}:{i + 2}: bad chunk row: {exc}") from exc
+            row = json.loads(self._lines[i])
+        except json.JSONDecodeError as exc:
+            raise DataError(f"{self._path}:{i + 2}: bad chunk row: {exc}") from exc
         # Three keys, all present: exactly id, doc_id and text.
         try:
             chunk_id, doc_id, text = row["id"], row["doc_id"], row["text"]
@@ -360,90 +348,88 @@ class VectorStore:
         # non-empty tuple, an undecoded row None.
         return [(chunks[i] or self._row(i), score) for i, score in ranked]
 
-    def to_jsonl(self, path: str) -> list[tuple[str, str | bytes]]:
-        """The files of a store saved at ``path``, as (path, content) in write order.
+    def to_jsonl(self) -> bytes:
+        """The store file's bytes. The name predates the one-file layout; perfbench wraps it by name.
 
-        The ``.npy`` comes first and the JSONL, whose header holds the CRC-32 of
-        the ``.npy`` bytes, last: a crash between the two writes leaves a pair
-        that :meth:`load` rejects. The header also holds the CRC-32 of the
-        UTF-8 bytes of the rows below it, one line each and no blank line.
+        Line 1 is the header, padded with spaces so that the matrix starts at
+        a multiple of 64 bytes. The rows follow, one line each and no blank
+        line, then the matrix. The header's ``crc32`` covers every byte after
+        line 1.
         """
-        buf = io.BytesIO()
-        np.save(buf, self.matrix, allow_pickle=False)
-        npy = buf.getvalue()
         encode = _JSON_ENCODER.encode
-        rows = "".join([encode({"id": c.id, "doc_id": c.doc_id, "text": c.text}) + "\n" for c in self.chunks])
-        header = {
+        lines = [encode({"id": c.id, "doc_id": c.doc_id, "text": c.text}) + "\n" for c in self.chunks]
+        rows = "".join(lines).encode("utf-8")
+        matrix = memoryview(np.ascontiguousarray(self.matrix, dtype="<f8"))
+        header = encode({
             "dim": self.dim,
             "provider": self.provider_name,
             "created": self.created,
             "rows": len(self._chunks),
-            "crc32": zlib.crc32(npy),
-            "rows_crc32": zlib.crc32(rows.encode("utf-8")),
-        }
-        return [(path + MATRIX_SUFFIX, npy), (path, encode(header) + "\n" + rows)]
+            "crc32": zlib.crc32(matrix, zlib.crc32(rows)),
+        }).encode("utf-8")
+        pad = -(len(header) + 1 + len(rows)) % _MATRIX_ALIGN
+        return b"".join([header, b" " * pad, b"\n", rows, matrix])
 
     @classmethod
     def load(cls, path: str) -> "VectorStore":
-        """Read and check the JSONL at ``path`` and its ``.npy``; a mismatched pair is a DataError.
+        """Read and check the store file at ``path``; a malformed file is a DataError.
 
-        The header is line 1 and every line after it is a row: the writer puts
-        no blank line in, and the header's ``rows_crc32`` covers the row bytes
-        as written. Both CRCs, the row count and every embedding are checked
-        here; a row line is decoded only when a hit or ``chunks`` needs it.
+        The checks run in order: the header, the CRC of the bytes after it,
+        the matrix size the header gives, the UTF-8 of the rows, the row
+        count and every embedding. A row line is decoded only when a hit or
+        ``chunks`` needs it. The matrix is a read-only view of the file's bytes.
         """
         with open(path, "rb") as fh:
             data = fh.read()
-        text = decode_utf8(data, path)
-        if not text or text.isspace():
-            raise DataError(f"{path}: empty store file")
-        lines = text.split("\n")
-        if lines[-1] == "":
-            lines.pop()
+        newline = data.find(b"\n")
+        head = data if newline < 0 else data[:newline]
         try:
-            header = json.loads(lines[0])
+            header = json.loads(decode_utf8(head, path))
         except json.JSONDecodeError as exc:
             raise DataError(f"{path}:1: bad store header: {exc}") from exc
-        if (
-            not isinstance(header, dict)
-            or not isinstance(header.get("dim"), int)
-            or not isinstance(header.get("provider"), str)
-            or not isinstance(header.get("created"), int)
+        if not (
+            isinstance(header, dict)
+            and header.keys() == _HEADER_KEYS
+            and isinstance(header["provider"], str)
+            and all(isinstance(header[key], int) for key in ("dim", "created", "rows", "crc32"))
         ):
-            raise DataError(f"{path}:1: store header needs dim, provider, created")
-        if header["dim"] < MIN_DIM:
+            raise DataError(
+                f"{path}:1: store header needs exactly dim, provider, created, rows and crc32; "
+                "re-ingest a store written by an older ontorag"
+            )
+        rows, dim, crc = header["rows"], header["dim"], header["crc32"]
+        if dim < MIN_DIM:
             raise DataError(f"{path}:1: store dim must be >= {MIN_DIM}")
-        # The whole header is checked before the rows, so an old store fails at line 1.
-        rows, crc, rows_crc = header.get("rows"), header.get("crc32"), header.get("rows_crc32")
-        if not isinstance(rows, int) or not isinstance(crc, int):
+        body = memoryview(data)[len(head) + 1 :]
+        got = zlib.crc32(body)
+        if got != crc:
             raise DataError(
-                f"{path}:1: store header needs rows and crc32; re-ingest a store "
-                f"written without a {MATRIX_SUFFIX} matrix file"
-            )
-        if not isinstance(rows_crc, int):
-            raise DataError(
-                f"{path}:1: store header needs rows_crc32; re-ingest a store written before rows were checksummed"
-            )
-        # The rows are the bytes after the first newline; a file without one has none.
-        newline = data.find(b"\n")
-        got = zlib.crc32(memoryview(data)[newline + 1 :] if newline >= 0 else b"")
-        if got != rows_crc:
-            raise DataError(
-                f"{path}: rows crc32 {got:08x} does not match the store header's {rows_crc:08x} "
+                f"{path}: crc32 {got:08x} does not match the store header's {crc:08x} "
                 "(an edited or torn file; re-ingest)"
             )
-        if rows != len(lines) - 1:
-            raise DataError(f"{path}:1: header says {rows} rows, the file has {len(lines) - 1}")
-        store = cls(dim=header["dim"], provider_name=header["provider"], created=header["created"])
-        matrix = np.ascontiguousarray(_read_matrix(path + MATRIX_SUFFIX, crc, (rows, store.dim)))
+        # The matrix is the last rows * dim * 8 bytes; the rows are the bytes before it.
+        end = len(body) - rows * dim * 8
+        if rows < 0 or end < 0:
+            raise DataError(
+                f"{path}:1: header says {rows} rows of {dim} floats; the file holds {len(body)} bytes after line 1"
+            )
+        lines = decode_utf8(body[:end], path, first_line=2).split("\n")
+        # Each row line ends with a newline, so the piece after the last one is empty.
+        if lines.pop() or rows != len(lines):
+            raise DataError(
+                f"{path}:1: header says {rows} rows, the file has {len(lines)} lines before the matrix"
+            )
+        store = cls(dim=dim, provider_name=header["provider"], created=header["created"])
+        # A no-op on a little-endian host; a big-endian one gets a native copy.
+        matrix = np.frombuffer(body, dtype="<f8", count=rows * dim, offset=end)
+        matrix = matrix.reshape(rows, dim).astype(np.float64, copy=False)
         norms, row_no = _row_norms(matrix)
         if row_no is not None:
             raise DataError(
-                f"{path}:{row_no + 2}: embedding (row {row_no} of {path}{MATRIX_SUFFIX}) "
-                "has a non-finite value or its norm overflows"
+                f"{path}:{row_no + 2}: embedding (matrix row {row_no}) has a non-finite value or its norm overflows"
             )
         store.matrix, store.norms = matrix, norms
-        store._chunks, store._lines, store._path = [None] * rows, lines[1:], path
+        store._chunks, store._lines, store._path = [None] * rows, lines, path
         return store
 
 
@@ -463,42 +449,6 @@ def _row_norms(matrix: np.ndarray, rows=slice(None)) -> tuple[np.ndarray, int | 
             np.sqrt(np.add.reduce(block * block, axis=1), out=norms[start : start + _NORM_BLOCK])
     finite = np.isfinite(norms[rows])
     return norms, None if finite.all() else int(np.argmin(finite))
-
-
-def _read_matrix(path: str, crc: int, shape: tuple[int, int]) -> np.ndarray:
-    """The float64 array in the ``.npy`` at ``path``, checked against the header.
-
-    The array is a read-only view of the file's bytes, which np.load would copy.
-    """
-    try:
-        with open(path, "rb") as fh:
-            data = fh.read()
-    except FileNotFoundError:
-        raise DataError(f"{path}: the store's embedding matrix is missing; re-ingest") from None
-    got = zlib.crc32(data)
-    if got != crc:
-        raise DataError(
-            f"{path}: crc32 {got:08x} does not match the store header's {crc:08x} "
-            "(a torn or mismatched pair; re-ingest)"
-        )
-    # The magic and header readers are the ones np.load calls. Only the
-    # versions np.save writes for a float64 matrix, 1.0 and 2.0, are read.
-    # Bytes after the array are ignored, as np.load ignores them.
-    try:
-        fp = io.BytesIO(data)
-        version = np.lib.format.read_magic(fp)
-        if version not in ((1, 0), (2, 0)):
-            raise ValueError(f"unsupported .npy format version {version}")
-        read_header = np.lib.format.read_array_header_1_0 if version == (1, 0) else np.lib.format.read_array_header_2_0
-        got_shape, fortran_order, dtype = read_header(fp)
-        if dtype.hasobject:
-            raise ValueError("Object arrays cannot be loaded when allow_pickle=False")
-        if dtype != np.float64 or got_shape != shape:
-            raise DataError(f"{path}: expected a float64 array of shape {shape}, got {dtype} {got_shape}")
-        flat = np.frombuffer(data, dtype=dtype, count=shape[0] * shape[1], offset=fp.tell())
-    except ValueError as exc:  # not an .npy, a bad header, an object dtype or too few bytes
-        raise DataError(f"{path}: not a plain .npy array: {exc}") from exc
-    return flat.reshape(shape[::-1]).T if fortran_order else flat.reshape(shape)
 
 
 def timestamp() -> int:

@@ -117,8 +117,7 @@ PIPELINE_SHA256 = {
     "mappings.tsv": "10dcb1a48d70b2a55bcfff023b516fc61af9cc3c20e0564201b1d109cd4cba67",
     "corpus.tsv": "7f1a99e78a04d9094b13c513ce2203c32aba3d60004fa8d31e6ef1a2ad920b77",
     "dict.json": "f4f10ff5221114328880e10761ac2609a43ed9fd185b91844478277ba1f58e7d",
-    "store.jsonl": "e0d235f73688e6d8cc5ac6470d936119abc942fa996794225ef6bb950e5e9da7",
-    "store.jsonl.npy": "11077d666d71b17230bca12ac0d995814cd7426b79c80b4b2144f1e7bbf22f46",
+    "store.jsonl": "82ff2af47ba219f0098e1812ae4866bd36b563defd01ac6fefe33d004fd8d7b1",
     "summary.tsv": "a84e934e92a0c389f0ae928483b6e32f8f731dcc5286dd0cadfa2b3df2727538",
 }
 
@@ -130,7 +129,7 @@ def test_criterion_3_pipeline_reproducible_and_improving(capsys, tmp_path, monke
         fixture_dir.mkdir()
         export_fixtures(str(fixture_dir))
 
-        artifacts = ("mappings.tsv", "corpus.tsv", "dict.json", "store.jsonl", "store.jsonl.npy", "summary.tsv")
+        artifacts = ("mappings.tsv", "corpus.tsv", "dict.json", "store.jsonl", "summary.tsv")
         runs = []
         for name in ("run1", "run2"):
             out_dir = tmp_path / name

@@ -91,10 +91,9 @@ def test_ingest_is_reproducible(capsys, workdir):
     run(capsys, "ingest", "--store", "s1.jsonl", "--doc", "handbook.txt")
     run(capsys, "ingest", "--store", "s2.jsonl", "--doc", "handbook.txt")
     assert (workdir / "s1.jsonl").read_bytes() == (workdir / "s2.jsonl").read_bytes()
-    assert (workdir / "s1.jsonl.npy").read_bytes() == (workdir / "s2.jsonl.npy").read_bytes()
 
 
-def test_ingest_writes_matrix_then_jsonl(capsys, workdir, monkeypatch):
+def test_ingest_writes_one_file(capsys, workdir, monkeypatch):
     import ontorag.cli
 
     written = []
@@ -105,9 +104,41 @@ def test_ingest_writes_matrix_then_jsonl(capsys, workdir, monkeypatch):
         real(path, data)
 
     monkeypatch.setattr(ontorag.cli, "_atomic_write", record)
+    before = set(os.listdir(workdir))
     code, _, _ = run(capsys, "ingest", "--store", "s.jsonl", "--doc", "handbook.txt")
     assert code == 0
-    assert written == [("s.jsonl.npy", bytes), ("s.jsonl", str)]
+    assert written == [("s.jsonl", bytes)]
+    assert set(os.listdir(workdir)) - before == {"s.jsonl"}
+    assert not (workdir / "s.jsonl.npy").exists()
+
+
+def _failed_rename(src, dst):
+    """``os.replace`` as it fails when the process dies at the commit point."""
+    raise OSError(5, "Input/output error", dst)
+
+
+@pytest.mark.parametrize("existing", [True, False], ids=["existing-store", "new-store"])
+def test_failed_rename_leaves_the_old_store(capsys, workdir, monkeypatch, existing):
+    # A crash at the commit point of an ingest: the store is left as it was,
+    # byte for byte (or absent), and answers as before.
+    if existing:
+        run(capsys, "ingest", "--store", "s.jsonl", "--doc", "handbook.txt")
+    path = workdir / "s.jsonl"
+    ask = ["ask", "--store", "s.jsonl", "--question", "What helps mild nausea?", "--show-context"]
+    before = path.exists() and path.read_bytes(), run(capsys, *ask)
+    with monkeypatch.context() as patch:
+        patch.setattr(os, "replace", _failed_rename)
+        code, out, err = run(capsys, "ingest", "--store", "s.jsonl", "--doc", "handbook.txt", "--doc-id", "more")
+    assert (code, out, err) == (2, "", "error: cannot access s.jsonl: Input/output error\n")
+    assert not list(workdir.glob(".ontorag-*"))
+    assert (path.exists() and path.read_bytes(), run(capsys, *ask)) == before
+
+
+def _match_crc(path):
+    """Set the crc32 in the header of the store file at ``path`` to that of the bytes after line 1."""
+    head, body = path.read_bytes().split(b"\n", 1)
+    header = {**json.loads(head), "crc32": zlib.crc32(body)}
+    path.write_bytes(json.dumps(header).encode("utf-8") + b"\n" + body)
 
 
 def _mode(path):
@@ -123,7 +154,7 @@ def test_new_outputs_get_the_umask_mode(capsys, workdir, umask, mode):
     finally:
         os.umask(old)
     assert align[0] == ingest[0] == 0
-    assert [_mode(workdir / name) for name in ("m.tsv", "s.jsonl", "s.jsonl.npy")] == [mode] * 3
+    assert [_mode(workdir / name) for name in ("m.tsv", "s.jsonl")] == [mode] * 2
     assert not list(workdir.glob(".ontorag-*"))
 
 
@@ -157,10 +188,9 @@ def _three_docs(workdir):
     return [arg for name in names for arg in ("--doc", f"{name}.txt")]
 
 
-# SHA-256 of the store pair `_three_docs` ingests under SOURCE_DATE_EPOCH=1700000000.
+# SHA-256 of the store `_three_docs` ingests under SOURCE_DATE_EPOCH=1700000000.
 THREE_DOC_SHA256 = {
-    "s.jsonl": "78c077f1ac50c17186c249dcf6026cfac137de75a9451c7f56398c08d75d540a",
-    "s.jsonl.npy": "a81fecc88b42168ca271847f27adc1ed309ac27f4b0f24d26bd9c11bf94c0f68",
+    "s.jsonl": "7db0ddc6f4d83b6b7df82e1684b61432653dabdbbb77139313b39239f14f015f",
 }
 
 
@@ -176,7 +206,7 @@ def test_three_document_store_is_pinned(capsys, workdir):
 
 def test_ingest_onto_a_loaded_store_is_pinned(capsys, workdir):
     # the second ingest merges into a loaded store, whose matrix is a read-only
-    # view of the file's bytes, and writes the same pair as one ingest of all three
+    # view of the file's bytes, and writes the same store as one ingest of all three
     docs = _three_docs(workdir)
     for batch in (docs[:4], docs[4:]):
         code, _, err = run(capsys, "ingest", "--store", "s.jsonl", *batch, "--size", "200", "--overlap", "40")
@@ -214,7 +244,7 @@ def test_ingest_embeds_and_merges_once(capsys, workdir, monkeypatch):
 @pytest.mark.parametrize("bad_doc", ["trailing .txt", "sub/alpha.txt"], ids=["bad-last-id", "same-stem"])
 def test_bad_ingest_leaves_store_pair_alone(capsys, workdir, monkeypatch, bad_doc):
     run(capsys, "ingest", "--store", "s.jsonl", "--doc", "handbook.txt")
-    before = {name: (workdir / name).read_bytes() for name in ("s.jsonl", "s.jsonl.npy")}
+    before = {name: (workdir / name).read_bytes() for name in ("s.jsonl",)}
     docs = _three_docs(workdir)
     (workdir / bad_doc).parent.mkdir(exist_ok=True)
     (workdir / bad_doc).write_text("Fever notes.", encoding="utf-8")
@@ -346,7 +376,7 @@ def test_http_store_answers_through_the_provider_its_header_names(capsys, workdi
         capsys, "ingest", "--store", "h.jsonl", "--doc", "handbook.txt", "--provider", http_stub.url, "--dim", "16",
     )
     assert code == 0, err
-    header = json.loads((workdir / "h.jsonl").read_text(encoding="utf-8").splitlines()[0])
+    header = json.loads((workdir / "h.jsonl").read_bytes().split(b"\n", 1)[0])
     assert header["provider"] == http_stub.url
     del http_stub.received[:]
     code, out, err = run(capsys, "ask", "--store", "h.jsonl", "--question", "What helps a cough?")
@@ -407,7 +437,7 @@ def test_provider_env_does_not_reach_an_existing_store(capsys, workdir, monkeypa
 
 def test_typed_dim_must_match_an_existing_store(capsys, workdir):
     run(capsys, "ingest", "--store", "s.jsonl", "--doc", "handbook.txt")
-    before = {name: (workdir / name).read_bytes() for name in ("s.jsonl", "s.jsonl.npy")}
+    before = {name: (workdir / name).read_bytes() for name in ("s.jsonl",)}
     code, out, err = run(capsys, "ingest", "--store", "s.jsonl", "--doc", "handbook.txt", "--doc-id", "h2", "--dim", "16")
     assert (code, out, err) == (2, "", "error: provider dim 16 != store dim 256\n")
     assert {name: (workdir / name).read_bytes() for name in before} == before
@@ -456,6 +486,8 @@ class TestExitCodes:
         lines[2] += b"\xe9"
         bad = "bad" + os.path.splitext(valid)[1]
         (workdir / bad).write_bytes(b"\n".join(lines))
+        if valid == "store.jsonl":  # the CRC is made to match, so the decode is what fails
+            _match_crc(workdir / bad)
         code, _, err = run(capsys, *[bad if arg == "BAD" else arg for arg in argv])
         assert code == 2
         assert err == f"error: {bad}:3: not UTF-8 text\n"
@@ -565,24 +597,12 @@ class TestExitCodes:
         )
         assert code == 2
 
-    def test_missing_matrix_is_data_error(self, capsys, workdir):
-        _build_pipeline(capsys, workdir)
-        (workdir / "store.jsonl.npy").unlink()
-        code, _, err = run(
-            capsys, "ask", "--store", "store.jsonl", "--question", "q",
-        )
-        assert code == 2
-        assert "error: store.jsonl.npy: " in err
-
     def test_bad_row_among_the_hits_names_its_line(self, capsys, workdir):
-        # every row loses its text; the header's rows_crc32 is made to match
+        # every row loses its text; the header's crc32 is made to match
         _build_pipeline(capsys, workdir)
         path = workdir / "store.jsonl"
-        head, _, body = path.read_text(encoding="utf-8").partition("\n")
-        body = body.replace('"text":', '"txt":')
-        header = json.loads(head)
-        header["rows_crc32"] = zlib.crc32(body.encode("utf-8"))
-        path.write_text(json.dumps(header) + "\n" + body, encoding="utf-8")
+        path.write_bytes(path.read_bytes().replace(b'"text":', b'"txt":'))
+        _match_crc(path)
         code, out, err = run(capsys, "ask", "--store", "store.jsonl", "--question", "nausea")
         assert code == 2 and out == ""
         assert re.fullmatch(r"error: store\.jsonl:\d+: chunk row needs exactly the string fields id, doc_id and text\n", err)
@@ -630,7 +650,7 @@ class TestExitCodes:
 
     def test_mismatched_store_provider_is_data_error(self, capsys, workdir, refused_url):
         _build_pipeline(capsys, workdir)
-        before = {name: (workdir / name).read_bytes() for name in ("store.jsonl", "store.jsonl.npy")}
+        before = {name: (workdir / name).read_bytes() for name in ("store.jsonl",)}
         code, _, err = run(
             capsys, "ingest", "--store", "store.jsonl", "--doc", "handbook.txt",
             "--provider", refused_url,
@@ -643,10 +663,7 @@ class TestExitCodes:
         # A store written while an HTTP provider was named "http:" + URL.
         _build_pipeline(capsys, workdir)
         path = workdir / "store.jsonl"
-        path.write_text(
-            path.read_text(encoding="utf-8").replace('"deterministic"', json.dumps(f"http:{refused_url}"), 1),
-            encoding="utf-8",
-        )
+        path.write_bytes(path.read_bytes().replace(b'"deterministic"', json.dumps(f"http:{refused_url}").encode(), 1))
         code, out, err = run(capsys, "ask", "--store", "store.jsonl", "--question", "q")
         assert code == 2
         assert err == f"error: store.jsonl: 'http:{refused_url}' is not a provider spec; re-ingest the store\n"
@@ -655,10 +672,7 @@ class TestExitCodes:
     def test_ingest_into_store_whose_provider_is_not_a_spec_is_data_error(self, capsys, workdir, refused_url):
         _build_pipeline(capsys, workdir)
         path = workdir / "store.jsonl"
-        path.write_text(
-            path.read_text(encoding="utf-8").replace('"deterministic"', json.dumps(f"http:{refused_url}"), 1),
-            encoding="utf-8",
-        )
+        path.write_bytes(path.read_bytes().replace(b'"deterministic"', json.dumps(f"http:{refused_url}").encode(), 1))
         code, out, err = run(capsys, "ingest", "--store", "store.jsonl", "--doc", "handbook.txt", "--doc-id", "more")
         assert code == 2
         assert err == f"error: store.jsonl: 'http:{refused_url}' is not a provider spec; re-ingest the store\n"

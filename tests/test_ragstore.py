@@ -1,4 +1,3 @@
-import io
 import json
 import re
 import tempfile
@@ -318,18 +317,18 @@ class TestVectorStore:
         assert loaded.chunks == handbook_store.chunks
         np.testing.assert_array_equal(loaded.matrix, handbook_store.matrix)
         np.testing.assert_array_equal(loaded.norms, handbook_store.norms)
-        # saving what was loaded reproduces the bytes of both files
-        (npy_path, matrix), (jsonl_path, text) = loaded.to_jsonl(str(path))
-        assert (npy_path, jsonl_path) == (str(_matrix_path(path)), str(path))
-        assert matrix == _matrix_path(path).read_bytes()
-        assert text.encode("utf-8") == path.read_bytes()
-        head, body = text.split("\n", 1)
+        # saving what was loaded reproduces the file's bytes
+        data = loaded.to_jsonl()
+        assert data == path.read_bytes()
+        head, body = data.split(b"\n", 1)
         header = json.loads(head)
+        assert header.keys() == {"dim", "provider", "created", "rows", "crc32"}
         assert header["rows"] == len(handbook_store)
-        assert header["crc32"] == zlib.crc32(matrix)
-        assert header["rows_crc32"] == zlib.crc32(body.encode("utf-8"))
-        assert "\n\n" not in text
-        assert all("embedding" not in json.loads(line) for line in text.split("\n")[1:] if line)
+        assert header["crc32"] == zlib.crc32(body)
+        assert body[-handbook_store.matrix.nbytes :] == handbook_store.matrix.astype("<f8").tobytes()
+        rows = _row_lines(path)
+        assert len(rows) == len(handbook_store) and "" not in rows
+        assert all(json.loads(line).keys() == {"id", "doc_id", "text"} for line in rows)
 
     def test_empty_store_round_trip(self, tmp_path):
         path = tmp_path / "s.jsonl"
@@ -337,6 +336,7 @@ class TestVectorStore:
         loaded = VectorStore.load(str(path))
         assert len(loaded) == 0
         assert loaded.matrix.shape == (0, 8)
+        assert loaded.to_jsonl() == path.read_bytes()
 
     def test_load_validation(self, tmp_path):
         path = tmp_path / "s.jsonl"
@@ -352,14 +352,17 @@ class TestVectorStore:
         path.write_text('{"dim": 8, "provider": "p"}\n', encoding="utf-8")
         with pytest.raises(DataError):
             VectorStore.load(str(path))
-        _write_pair(path, [{"id": "a"}], np.ones((1, 8)))
+        _write_store(path, [], np.ones((0, 4)), dim=4)
+        with pytest.raises(DataError, match=r"s\.jsonl:1: store dim must be >= 8"):
+            VectorStore.load(str(path))
+        _write_store(path, [{"id": "a"}], np.ones((1, 8)))
         with pytest.raises(DataError, match=r"s\.jsonl:2: chunk row needs"):
             VectorStore.load(str(path)).chunks
-        _write_pair(path, ["a"], np.ones((1, 8)))
+        _write_store(path, ['"a"'], np.ones((1, 8)))
         with pytest.raises(DataError, match=r"s\.jsonl:2: chunk row needs"):
             VectorStore.load(str(path)).chunks
-        _write_pair(path, [_ROW], np.ones((1, 8)), rows="1")
-        with pytest.raises(DataError, match=r"s\.jsonl:1: store header needs rows and crc32"):
+        _write_store(path, [_ROW], np.ones((1, 8)), rows="1")
+        with pytest.raises(DataError, match=r"s\.jsonl:1: store header needs exactly dim, provider, created, rows and crc32"):
             VectorStore.load(str(path))
 
     @pytest.mark.parametrize(
@@ -387,138 +390,145 @@ class TestVectorStore:
         matrix[1] = bad.get("vector", matrix[1])
         path = tmp_path / "s.jsonl"
         # a bad embedding fails the load, a bad row the decode of every row
-        _write_pair(path, rows, matrix)
+        _write_store(path, rows, matrix)
         with pytest.raises(DataError, match=r"s\.jsonl:3: "):
             VectorStore.load(str(path)).chunks
 
 
-def _matrix_path(path):
-    return path.with_name(path.name + ".npy")
-
-
 def _save(store, path):
-    (_, matrix), (_, text) = store.to_jsonl(str(path))
-    _matrix_path(path).write_bytes(matrix)
-    path.write_text(text, encoding="utf-8")
+    path.write_bytes(store.to_jsonl())
 
 
 _ROW = {"id": "a", "doc_id": "d", "text": "t"}
-# the rows_crc32 of a store whose one row line is "{not json"
-_NOT_JSON_CRC = zlib.crc32(b"{not json\n")
 
 
-def _npy(array, **kwargs):
-    buf = io.BytesIO()
-    np.save(buf, array, **kwargs)
-    return buf.getvalue()
+def _write_store(path, records, matrix, **header):
+    """A hand-made store file: ``records`` as lines (a dict is dumped as JSON), then ``matrix``.
+
+    ``header`` overrides the fields derived from the records and the matrix. The
+    header is not padded, so the matrix need not be aligned.
+    """
+    lines = [r if isinstance(r, str) else json.dumps(r) for r in records]
+    # a lone surrogate stands for a byte that is not UTF-8
+    rows_bytes = "".join(line + "\n" for line in lines).encode("utf-8", "surrogateescape")
+    body = rows_bytes + np.asarray(matrix, dtype="<f8").tobytes()
+    head = {"dim": 8, "provider": "p", "created": 1, "rows": len(lines), "crc32": zlib.crc32(body), **header}
+    path.write_bytes(json.dumps(head, ensure_ascii=False).encode("utf-8", "surrogateescape") + b"\n" + body)
 
 
-def _write_pair(path, records, matrix, **header):
-    """A hand-made store: ``header`` overrides the fields derived from the records and matrix."""
-    data = matrix if isinstance(matrix, bytes) else _npy(matrix)
-    body = "".join(json.dumps(r) + "\n" for r in records)
-    head = {
-        "dim": 8, "provider": "p", "created": 1, "rows": len(records), "crc32": zlib.crc32(data),
-        "rows_crc32": zlib.crc32(body.encode("utf-8")), **header,
-    }
-    path.write_text(json.dumps(head) + "\n" + body, encoding="utf-8")
-    _matrix_path(path).write_bytes(data)
+def _row_lines(path):
+    """The row lines of the store file at ``path``: the lines between the header and the matrix."""
+    head, body = Path(path).read_bytes().split(b"\n", 1)
+    header = json.loads(head)
+    rows = body[: len(body) - header["rows"] * header["dim"] * 8].decode("utf-8")
+    # the rows end with a newline, so the last piece is not a line
+    return rows.split("\n")[:-1]
+
+
+def _flip(path, at):
+    """Flip the low bit of the byte at ``at`` in the file at ``path``."""
+    data = bytearray(path.read_bytes())
+    data[at] ^= 0x01
+    path.write_bytes(bytes(data))
 
 
 class TestStorePair:
-    """Every way the JSONL and its ``.npy`` can disagree is a located DataError."""
-
-    def test_missing_matrix(self, tmp_path, handbook_store):
-        path = tmp_path / "store.jsonl"
-        _save(handbook_store, path)
-        _matrix_path(path).unlink()
-        with pytest.raises(DataError, match=r"store\.jsonl\.npy: .*missing"):
-            VectorStore.load(str(path))
-
-    def test_torn_pair(self, tmp_path, embedder, handbook_store):
-        # the .npy of another ingest with the same row count: only the CRC tells
-        other = VectorStore.new(embedder)
-        other.add_chunks(handbook_store.chunks, handbook_store.matrix[::-1])
-        path, torn = tmp_path / "store.jsonl", tmp_path / "other.jsonl"
-        _save(handbook_store, path)
-        _save(other, torn)
-        _matrix_path(path).write_bytes(_matrix_path(torn).read_bytes())
-        with pytest.raises(DataError, match=r"store\.jsonl\.npy: crc32 .* torn or mismatched"):
-            VectorStore.load(str(path))
-
-    def test_crc_mismatch(self, tmp_path, handbook_store):
-        path = tmp_path / "store.jsonl"
-        _save(handbook_store, path)
-        data = bytearray(_matrix_path(path).read_bytes())
-        data[-1] ^= 0x01
-        _matrix_path(path).write_bytes(bytes(data))
-        with pytest.raises(DataError, match=r"store\.jsonl\.npy: crc32"):
-            VectorStore.load(str(path))
-        _matrix_path(path).write_bytes(bytes(data[:-8]))
-        with pytest.raises(DataError, match=r"store\.jsonl\.npy: crc32"):
-            VectorStore.load(str(path))
+    """Every way a store file's header and body can disagree is a located DataError."""
 
     def test_row_crc_mismatch(self, tmp_path, handbook_store):
         # one byte of a row's text: rows that no query returns are checked too
         path = tmp_path / "store.jsonl"
         _save(handbook_store, path)
         data = path.read_bytes()
-        at = data.rindex(b'"text": "') + len(b'"text": "')
-        path.write_bytes(data[:at] + bytes([data[at] ^ 0x01]) + data[at + 1 :])
-        with pytest.raises(DataError, match=r"store\.jsonl: rows crc32 [0-9a-f]{8} does not match .*re-ingest"):
+        _flip(path, data.rindex(b'"text": "') + len(b'"text": "'))
+        with pytest.raises(DataError, match=r"store\.jsonl: crc32 [0-9a-f]{8} does not match .*re-ingest"):
+            VectorStore.load(str(path))
+
+    def test_crc_mismatch(self, tmp_path, handbook_store):
+        # the last matrix byte flipped, then the last float cut off
+        path = tmp_path / "store.jsonl"
+        _save(handbook_store, path)
+        _flip(path, -1)
+        with pytest.raises(DataError, match=r"store\.jsonl: crc32 [0-9a-f]{8} does not match .*re-ingest"):
+            VectorStore.load(str(path))
+        path.write_bytes(path.read_bytes()[:-8])
+        with pytest.raises(DataError, match=r"store\.jsonl: crc32 [0-9a-f]{8} does not match .*re-ingest"):
+            VectorStore.load(str(path))
+
+    @pytest.mark.parametrize("at", [0, 1000], ids=["first", "middle"])
+    def test_flipped_matrix_byte_fails_the_crc(self, tmp_path, handbook_store, at):
+        path = tmp_path / "store.jsonl"
+        _save(handbook_store, path)
+        nbytes = handbook_store.matrix.nbytes
+        _flip(path, path.stat().st_size - nbytes + at % nbytes)
+        with pytest.raises(DataError, match=r"store\.jsonl: crc32 [0-9a-f]{8} does not match .*re-ingest"):
+            VectorStore.load(str(path))
+
+    @pytest.mark.parametrize(
+        "keep, message",
+        [
+            (-1, r"store\.jsonl: crc32 .*re-ingest"),
+            (400, r"store\.jsonl: crc32 .*re-ingest"),
+            (1, r"store\.jsonl:1: bad store header"),
+        ],
+        ids=["last-byte", "in-rows", "in-header"],
+    )
+    def test_file_cut_short(self, tmp_path, handbook_store, keep, message):
+        path = tmp_path / "store.jsonl"
+        _save(handbook_store, path)
+        path.write_bytes(path.read_bytes()[:keep])
+        with pytest.raises(DataError, match=message):
+            VectorStore.load(str(path))
+
+    @pytest.mark.parametrize(
+        "header",
+        [{"rows": 4}, {"dim": 64}, {"rows": 10**12, "dim": 10**12}, {"rows": -1}],
+        ids=["rows", "dim", "huge", "negative"],
+    )
+    def test_matrix_larger_than_the_body(self, tmp_path, header):
+        # the CRC matches, so only the size check stands between the header and a bad slice
+        path = tmp_path / "s.jsonl"
+        _write_store(path, [_ROW, {**_ROW, "id": "b"}], np.ones((2, 8)), **header)
+        rows, dim = header.get("rows", 2), header.get("dim", 8)
+        with pytest.raises(DataError, match=rf"s\.jsonl:1: header says {rows} rows of {dim} floats; the file holds \d+ bytes"):
             VectorStore.load(str(path))
 
     @pytest.mark.parametrize("rows", [0, 1, 3])
     def test_wrong_row_count(self, tmp_path, rows):
         path = tmp_path / "s.jsonl"
-        _write_pair(path, [_ROW, {**_ROW, "id": "b"}], np.ones((2, 8)), rows=rows)
-        with pytest.raises(DataError, match=rf"s\.jsonl:1: header says {rows} rows, the file has 2"):
+        _write_store(path, [_ROW, {**_ROW, "id": "b"}], np.ones((rows, 8)), rows=rows)
+        with pytest.raises(DataError, match=rf"s\.jsonl:1: header says {rows} rows, the file has 2 lines before the matrix"):
+            VectorStore.load(str(path))
+
+    @pytest.mark.parametrize("matrix", [np.ones(7), np.ones(8, dtype=np.float32)], ids=["float-short", "float32"])
+    def test_matrix_shorter_than_the_header_says(self, tmp_path, matrix):
+        # the CRC matches and the sizes fit, but the last 64 bytes reach into the
+        # row line, so the rows do not end on a newline
+        path = tmp_path / "s.jsonl"
+        body = (json.dumps(_ROW) + "\n").encode("utf-8") + matrix.tobytes()
+        header = {"dim": 8, "provider": "p", "created": 1, "rows": 1, "crc32": zlib.crc32(body)}
+        path.write_bytes(json.dumps(header).encode("utf-8") + b"\n" + body)
+        with pytest.raises(DataError, match=r"s\.jsonl:1: header says 1 rows, the file has 0 lines before the matrix"):
             VectorStore.load(str(path))
 
     @pytest.mark.parametrize(
-        "data",
-        [
-            _npy(np.array([[1.0] * 8], dtype=object), allow_pickle=True),
-            _npy(np.array([{"a": 1}]), allow_pickle=True),
-            _npy(np.ones((1, 8), dtype=np.float32)),
-            _npy(np.ones((1, 8), dtype=">f8")),
-            _npy(np.ones((1, 9))),
-            _npy(np.ones(8)),
-            b"not an npy file",
-            b"",
-            b"PK\x03\x04not a zip archive",
-            b"\x93NUMPY\x04\x00" + _npy(np.ones((1, 8)))[8:],
-            # cut short; the CRC is that of the short bytes, so only the read can tell
-            _npy(np.ones((1, 8)))[:4],
-            _npy(np.ones((1, 8)))[:60],
-            _npy(np.ones((1, 8)))[:-8],
-        ],
-        ids=[
-            "object", "pickled", "float32", "big-endian", "width", "1d", "garbage", "empty",
-            "zip-magic", "version-4", "short-magic", "short-header", "short-data",
-        ],
+        "provider, text, line", [("caf\udce9", "t", 1), ("p", "caf\udce9", 3)], ids=["header", "row"]
     )
-    def test_matrix_must_be_plain_float64(self, tmp_path, data):
+    def test_byte_that_is_not_utf8_names_its_line(self, tmp_path, provider, text, line):
+        # a lone surrogate is written as the byte it escapes; the CRC matches,
+        # so the decode is what fails
         path = tmp_path / "s.jsonl"
-        _write_pair(path, [_ROW], data)
-        with pytest.raises(DataError, match=r"s\.jsonl\.npy: "):
+        row = json.dumps({**_ROW, "id": "b", "text": text}, ensure_ascii=False)
+        _write_store(path, [_ROW, row], np.ones((2, 8)), provider=provider)
+        with pytest.raises(DataError, match=rf"s\.jsonl:{line}: not UTF-8 text"):
             VectorStore.load(str(path))
-
-    def test_fortran_order_matrix_loads_c_contiguous(self, tmp_path):
-        matrix = np.asfortranarray(np.arange(24, dtype=np.float64).reshape(3, 8))
-        path = tmp_path / "s.jsonl"
-        _write_pair(path, [{**_ROW, "id": cid} for cid in "abc"], matrix)
-        loaded = VectorStore.load(str(path))
-        assert loaded.matrix.flags.c_contiguous
-        np.testing.assert_array_equal(loaded.matrix, matrix)
-        np.testing.assert_array_equal(loaded.norms, np.linalg.norm(matrix, axis=1))
 
     def test_nan_row_names_its_jsonl_line(self, tmp_path):
         matrix = np.ones((3, 8))
         matrix[2, 5] = np.nan
         path = tmp_path / "s.jsonl"
-        _write_pair(path, [{**_ROW, "id": cid} for cid in "abc"], matrix)
-        with pytest.raises(DataError, match=r"s\.jsonl:4: embedding \(row 2 of .*s\.jsonl\.npy\)"):
+        _write_store(path, [{**_ROW, "id": cid} for cid in "abc"], matrix)
+        with pytest.raises(DataError, match=r"s\.jsonl:4: embedding \(matrix row 2\) has a non-finite value"):
             VectorStore.load(str(path))
 
     @pytest.mark.parametrize(
@@ -528,65 +538,91 @@ class TestStorePair:
         # the first row that is not strictly after its predecessor is reported
         line = next(n for n in range(1, len(ids)) if ids[n] <= ids[n - 1]) + 2
         path = tmp_path / "s.jsonl"
-        _write_pair(path, [{**_ROW, "id": cid} for cid in ids], np.ones((len(ids), 8)))
+        _write_store(path, [{**_ROW, "id": cid} for cid in ids], np.ones((len(ids), 8)))
         with pytest.raises(DataError, match=rf"s\.jsonl:{line}: chunk id '{ids[line - 2]}' does not follow"):
             VectorStore.load(str(path)).chunks
+
+    _FIELDS = {"dim": 8, "provider": "p", "created": 1}
+    # a bad row line, then a matrix of two rows
+    _BODY = b"{not json\n" + np.ones((2, 8)).tobytes()
 
     @pytest.mark.parametrize(
         "header, message",
         [
-            ({"dim": 8, "provider": "p", "created": 1}, "store header needs rows and crc32"),
-            ({"dim": 8, "provider": "p", "created": 1, "rows": 1, "crc32": "0"}, "store header needs rows and crc32"),
-            ({"dim": 8, "provider": "p", "created": 1, "rows": 1, "crc32": 0}, "store header needs rows_crc32; re-ingest"),
-            (
-                {"dim": 8, "provider": "p", "created": 1, "rows": 2, "crc32": 0, "rows_crc32": _NOT_JSON_CRC},
-                "header says 2 rows, the file has 1",
-            ),
+            (_FIELDS, "store header needs exactly dim, provider, created, rows and crc32; re-ingest"),
+            ({**_FIELDS, "rows": 1, "crc32": "0"}, "store header needs exactly dim, provider, created, rows and crc32"),
+            ({**_FIELDS, "rows": 1, "crc32": zlib.crc32(_BODY), "note": 0}, "store header needs exactly .*; re-ingest"),
+            ({**_FIELDS, "rows": 2, "crc32": zlib.crc32(_BODY)}, "header says 2 rows, the file has 1 lines"),
+            ({**_FIELDS, "dim": 4, "rows": 1, "crc32": zlib.crc32(_BODY)}, "store dim must be >= 8"),
         ],
-        ids=["no-rows", "string-crc32", "no-rows-crc32", "row-count"],
+        ids=["no-rows", "string-crc32", "extra-key", "row-count", "narrow-dim"],
     )
     def test_header_is_checked_before_rows(self, tmp_path, header, message):
         path = tmp_path / "s.jsonl"
-        path.write_text(json.dumps(header) + "\n{not json\n", encoding="utf-8")
+        path.write_bytes(json.dumps(header).encode("utf-8") + b"\n" + self._BODY)
         with pytest.raises(DataError, match=rf"s\.jsonl:1: {message}"):
             VectorStore.load(str(path))
 
     def test_inline_embeddings_say_reingest(self, tmp_path):
-        # the single-file format: no rows or crc32, embeddings inside the rows;
-        # its header is rejected before any row is read
+        # the first single-file format: no rows or crc32, embeddings inside the
+        # rows; its header is rejected before any row is read
         path = tmp_path / "old.jsonl"
         header = json.dumps({"dim": 8, "provider": "p", "created": 1})
         row = json.dumps({**_ROW, "embedding": [1.0] * 8})
         path.write_text(f"{header}\n{row}\n", encoding="utf-8")
-        with pytest.raises(DataError, match=r"old\.jsonl:1: store header needs rows and crc32.*re-ingest"):
+        with pytest.raises(DataError, match=r"old\.jsonl:1: store header needs exactly .*re-ingest"):
             VectorStore.load(str(path))
         path.write_text(f"{header}\n", encoding="utf-8")
         with pytest.raises(DataError, match=r"old\.jsonl:1: .*re-ingest"):
             VectorStore.load(str(path))
 
+    def test_two_file_format_says_reingest(self, tmp_path, handbook_store):
+        # PATH as the two-file format wrote it, its matrix in PATH.npy beside it
+        rows = "".join(json.dumps(c._asdict(), ensure_ascii=False) + "\n" for c in handbook_store.chunks)
+        header = {
+            "dim": 256, "provider": "deterministic", "created": 1, "rows": len(handbook_store),
+            "crc32": 0, "rows_crc32": zlib.crc32(rows.encode("utf-8")),
+        }
+        path = tmp_path / "store.jsonl"
+        path.write_text(json.dumps(header) + "\n" + rows, encoding="utf-8")
+        with pytest.raises(DataError, match=r"store\.jsonl:1: store header needs exactly .*re-ingest"):
+            VectorStore.load(str(path))
 
-def _write_row_lines(path, lines):
-    """A store whose rows are ``lines`` as given, blank ones included."""
-    data = _npy(np.ones((len(lines), 8)))
-    body = "".join(line + "\n" for line in lines)
-    header = {
-        "dim": 8, "provider": "p", "created": 1, "rows": len(lines), "crc32": zlib.crc32(data),
-        "rows_crc32": zlib.crc32(body.encode("utf-8")),
-    }
-    path.write_text(json.dumps(header) + "\n" + body, encoding="utf-8")
-    _matrix_path(path).write_bytes(data)
+    @pytest.mark.parametrize(
+        "provider, texts",
+        [
+            ("deterministic", []),
+            ("deterministic", ["fever"]),
+            ("deterministic", ["naïve café " * 7, "発熱", "x" * 63]),
+            ("https://例え.jp/v1", ["fever", "naïve café"]),
+        ],
+        ids=["empty", "one", "mixed", "non-ascii-provider"],
+    )
+    def test_matrix_starts_on_a_64_byte_boundary(self, tmp_path, embedder, provider, texts):
+        # the padding counts the header's UTF-8 bytes, not its characters
+        store = VectorStore(dim=embedder.dim, provider_name=provider, created=1)
+        embedder.name = provider
+        ingest(store, [(f"d{i}", text) for i, text in enumerate(texts)], embedder, size=20, overlap=5)
+        path = tmp_path / "s.jsonl"
+        _save(store, path)
+        offset = path.stat().st_size - len(store) * embedder.dim * 8
+        assert offset % 64 == 0
+        loaded = VectorStore.load(str(path))
+        assert loaded.matrix.flags.aligned and loaded.matrix.flags.c_contiguous
+        assert not loaded.matrix.flags.writeable and not loaded.matrix.flags.owndata
+        assert loaded.matrix.tobytes() == store.matrix.tobytes()
+        assert loaded.chunks == store.chunks
 
 
 def _reference_rows(path):
     """The chunk rows of the store at ``path`` by the rules of one ``json.loads`` per line.
 
-    Every line after the header is a row. Returns the rows as ``(id, doc_id,
-    text)`` tuples, or the text of the DataError that the first bad row gives.
+    Every line between the header and the matrix is a row. Returns the rows as
+    ``(id, doc_id, text)`` tuples, or the text of the DataError that the first
+    bad row gives.
     """
     chunks = []
-    # the file ends with a newline, so the last piece is not a line
-    lines = Path(path).read_text(encoding="utf-8").split("\n")[1:-1]
-    for lineno, line in enumerate(lines, start=2):
+    for lineno, line in enumerate(_row_lines(path), start=2):
         try:
             row = json.loads(line)
         except json.JSONDecodeError as exc:
@@ -654,7 +690,7 @@ class TestRowDecode:
         ]
         assert len(json.loads("[" + ",".join(lines) + "]")) == 3
         path = tmp_path / "s.jsonl"
-        _write_row_lines(path, lines)
+        _write_store(path, lines, np.ones((len(lines), 8)))
         with pytest.raises(DataError, match=r"s\.jsonl:2: bad chunk row: Extra data"):
             VectorStore.load(str(path)).chunks
 
@@ -662,7 +698,7 @@ class TestRowDecode:
     def test_load_accepts_what_per_line_json_loads_accepts(self, lines):
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "s.jsonl"
-            _write_row_lines(path, lines)
+            _write_store(path, lines, np.ones((len(lines), 8)))
             want = _reference_rows(path)
             try:
                 got = [(c.id, c.doc_id, c.text) for c in VectorStore.load(str(path)).chunks]
@@ -672,7 +708,7 @@ class TestRowDecode:
 
     def test_loaded_rows_are_chunks(self, tmp_path):
         path = tmp_path / "s.jsonl"
-        _write_pair(path, [{**_ROW, "id": cid} for cid in "ab"], np.ones((2, 8)))
+        _write_store(path, [{**_ROW, "id": cid} for cid in "ab"], np.ones((2, 8)))
         chunks = VectorStore.load(str(path)).chunks
         assert [type(c) for c in chunks] == [Chunk, Chunk]
         assert chunks[1] == Chunk(id="b", doc_id="d", text="t")
@@ -681,44 +717,38 @@ class TestRowDecode:
             chunks[1].id = "c"
 
 
-class _CountingDecoder(json.JSONDecoder):
-    """The module's row decoder, recording each line it is given."""
-
-    def __init__(self):
-        super().__init__()
-        self.lines = []
-
-    def raw_decode(self, s, idx=0):
-        self.lines.append(s)
-        return super().raw_decode(s, idx)
-
-
 class TestLazyRows:
     """``load`` decodes no row; each row is decoded the first time it is needed, and only then."""
 
     def test_each_row_is_decoded_once(self, tmp_path, monkeypatch, embedder, handbook_store):
         path = tmp_path / "store.jsonl"
         _save(handbook_store, path)
-        decoder = _CountingDecoder()
-        monkeypatch.setattr(ragstore, "_JSON_DECODER", decoder)
+        decoded = []
+        decode = VectorStore._row
+
+        def counting(store, i):
+            decoded.append(store._lines[i])
+            return decode(store, i)
+
+        monkeypatch.setattr(VectorStore, "_row", counting)
         store = VectorStore.load(str(path))
-        assert decoder.lines == []
+        assert decoded == []
         query = embedder.embed(["constipation advice"])[0]
         hits = store.nearest(query, 4)
-        assert len(decoder.lines) == 4
+        assert len(decoded) == 4
         assert store.nearest(query, 4) == hits
-        assert len(decoder.lines) == 4
+        assert len(decoded) == 4
         assert store.chunks == handbook_store.chunks
-        rows = path.read_text(encoding="utf-8").split("\n")[1:-1]
-        assert sorted(decoder.lines) == sorted(rows)
-        store.to_jsonl(str(path))
+        rows = _row_lines(path)
+        assert sorted(decoded) == sorted(rows)
+        store.to_jsonl()
         assert store.chunks == handbook_store.chunks
-        assert len(decoder.lines) == len(rows)
+        assert len(decoded) == len(rows)
 
     def test_a_bad_row_fails_the_query_that_returns_it(self, tmp_path):
         rows = [{**_ROW, "id": "a"}, {"id": "b", "doc_id": "d"}, {**_ROW, "id": "c"}]
         path = tmp_path / "s.jsonl"
-        _write_pair(path, rows, np.eye(3, 8))
+        _write_store(path, rows, np.eye(3, 8))
         store = VectorStore.load(str(path))
         assert [c.id for c, _ in store.nearest(np.eye(8)[0], 1)] == ["a"]
         with pytest.raises(DataError, match=r"s\.jsonl:3: chunk row needs"):
@@ -728,38 +758,9 @@ class TestLazyRows:
         rows = [{**_ROW, "id": cid} for cid in "abc"]
         rows[1]["text"] = 5
         path = tmp_path / "s.jsonl"
-        _write_pair(path, rows, np.ones((3, embedder.dim)), provider=embedder.name, dim=embedder.dim)
+        _write_store(path, rows, np.ones((3, embedder.dim)), provider=embedder.name, dim=embedder.dim)
         with pytest.raises(DataError, match=r"s\.jsonl:3: chunk row needs"):
             ingest(VectorStore.load(str(path)), [("new", "fever notes")], embedder)
-
-
-class TestMatrixRead:
-    """The matrix is read in place from the checked bytes, and the same ``.npy`` files load."""
-
-    _IDS = [{**_ROW, "id": cid} for cid in "abc"]
-
-    @pytest.mark.parametrize("version", [(1, 0), (2, 0), (3, 0)])
-    def test_every_npy_version_loads(self, tmp_path, version):
-        # np.save writes 1.0, or 2.0 for a header too long for 1.0; it writes
-        # 3.0 only for a dtype with non-Latin-1 field names, never for float64
-        matrix = np.arange(24, dtype=np.float64).reshape(3, 8) / 7
-        buf = io.BytesIO()
-        np.lib.format.write_array(buf, matrix, version=version)
-        path = tmp_path / "s.jsonl"
-        _write_pair(path, self._IDS, buf.getvalue())
-        if version == (3, 0):
-            with pytest.raises(DataError, match=r"s\.jsonl\.npy: not a plain \.npy array: .*version \(3, 0\)"):
-                VectorStore.load(str(path))
-            return
-        loaded = VectorStore.load(str(path))
-        assert loaded.matrix.tobytes() == matrix.tobytes()
-        assert loaded.matrix.flags.c_contiguous and not loaded.matrix.flags.writeable
-
-    def test_trailing_bytes_load_as_np_load_reads_them(self, tmp_path):
-        data = _npy(np.arange(24, dtype=np.float64).reshape(3, 8)) + b"\x00trailing bytes"
-        path = tmp_path / "s.jsonl"
-        _write_pair(path, self._IDS, data)
-        assert VectorStore.load(str(path)).matrix.tobytes() == np.load(io.BytesIO(data)).tobytes()
 
 
 _NORM_VALUES = st.one_of(
