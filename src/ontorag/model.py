@@ -26,7 +26,8 @@ def validate_iri(iri: str) -> str:
     """Check that `iri` is non-empty and contains no whitespace."""
     if not iri:
         raise ParseError("empty IRI")
-    if _WS_RE.search(iri):
+    # str.split() breaks at exactly the code points that regex \s matches.
+    if iri.split(None, 1) != [iri]:
         raise ParseError(f"IRI contains whitespace: {iri!r}")
     return iri
 
@@ -63,7 +64,7 @@ def label_tokens(text: str) -> list[str]:
     return _TOKEN_RE.findall(text.lower())
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class OntologyClass:
     """A named concept: IRI plus display label, synonyms and direct parents.
 
@@ -76,14 +77,28 @@ class OntologyClass:
     synonyms: frozenset[str] = field(default_factory=frozenset)
     parents: frozenset[ClassIri] = field(default_factory=frozenset)
 
-    def __post_init__(self) -> None:
-        validate_iri(self.iri)
-        object.__setattr__(self, "synonyms", frozenset(self.synonyms))
-        object.__setattr__(self, "parents", frozenset(self.parents))
-        if "" in self.synonyms:
-            raise ParseError(f"{self.iri}: empty synonym")
-        if self.iri in self.parents:
-            raise ParseError(f"{self.iri}: class asserted as its own parent")
+    def __init__(
+        self,
+        iri: ClassIri,
+        label: str = "",
+        synonyms: frozenset[str] = frozenset(),
+        parents: frozenset[ClassIri] = frozenset(),
+    ) -> None:
+        validate_iri(iri)
+        # Any iterable is frozen; a frozenset comes back as it is, uncopied.
+        synonyms = frozenset(synonyms)
+        parents = frozenset(parents)
+        if "" in synonyms:
+            raise ParseError(f"{iri}: empty synonym")
+        if iri in parents:
+            raise ParseError(f"{iri}: class asserted as its own parent")
+        # The frozen dataclass refuses setattr, so the checked fields go
+        # straight into the instance dict.
+        fields = self.__dict__
+        fields["iri"] = iri
+        fields["label"] = label
+        fields["synonyms"] = synonyms
+        fields["parents"] = parents
 
     @property
     def display_label(self) -> str:

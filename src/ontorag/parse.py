@@ -115,24 +115,38 @@ def obo_id_to_iri(obo_id: str) -> str:
 # character. The leading class takes a value with neither in one scan.
 _OBO_VALUE_RE = re.compile(r"[^\\!{]*(?:\\.?[^\\!{]*)*")
 
+# A quoted synonym text from its opening quote to the first quote that no
+# backslash escapes; a backslash escapes one character.
+_SYNONYM_RE = re.compile(r'"([^"\\]*(?:\\.[^"\\]*)*)"')
+
 
 def _obo_value(value: str) -> str:
     """A stripped tag value without OBO 1.4 trailing ``{modifiers}`` or ``! comment``.
 
     An escaped ``\\!`` or ``\\{`` is part of the value and stays as written.
     """
-    return _OBO_VALUE_RE.match(value).group().rstrip()
+    if "\\" in value:
+        return _OBO_VALUE_RE.match(value).group().rstrip()
+    # Without a backslash the value ends at the first "!" or "{".
+    bang, brace = value.find("!"), value.find("{")
+    if bang < 0 and brace < 0:
+        return value
+    return value[: brace if bang < 0 or 0 <= brace < bang else bang].rstrip()
 
 
 def _synonym_text(value: str) -> str | None:
-    """Text between the first pair of double quotes, or None."""
+    """Text between the first double quote and the next one not escaped by a backslash, or None.
+
+    Escapes stay as written.
+    """
     first = value.find('"')
     if first < 0:
         return None
-    second = value.find('"', first + 1)
-    if second < 0:
-        return None
-    return value[first + 1 : second]
+    if "\\" not in value:
+        second = value.find('"', first + 1)
+        return value[first + 1 : second] if second >= 0 else None
+    quoted = _SYNONYM_RE.match(value, first)
+    return quoted.group(1) if quoted else None
 
 
 class _Stanza:
@@ -151,8 +165,11 @@ def parse_obo(text: str) -> ParseReport:
     """Parse the `[Term]` stanzas of an OBO flat file.
 
     Obsolete terms are dropped without a warning; a stanza without a valid
-    `id:` is skipped with one. Raises :class:`ParseError` when no term
-    survives.
+    `id:` (one without whitespace) is skipped with one. Raises
+    :class:`ParseError` when no term survives.
+
+    Lines end at ``"\\n"`` only, as in :func:`numbered_lines`, and one pass
+    reads the `[...]` headers and the tags in use; every other line is skipped.
     """
     warnings: list[tuple[int, str]] = []
     ontology_id = "obo"
@@ -160,33 +177,29 @@ def parse_obo(text: str) -> ParseReport:
     stanzas: list[_Stanza] = []
     current: _Stanza | None = None
     in_header = True
-    for lineno, raw in numbered_lines(text):
-        line = raw.strip()
-        if line.startswith("["):
+    for lineno, line in enumerate(text.split("\n"), start=1):
+        tag, colon, value = line.partition(":")
+        tag = tag.strip()
+        if tag[:1] == "[":
             in_header = False
-            current = _Stanza(lineno) if line == "[Term]" else None
+            current = _Stanza(lineno) if line.strip() == "[Term]" else None
             if current is not None:
                 stanzas.append(current)
             continue
-        if ":" not in line:
-            continue
-        tag, _, value = line.partition(":")
-        tag = tag.strip()
-        value = value.strip()
-        if in_header:
-            if tag == "ontology":
-                ontology_id = value
+        if not colon:
             continue
         if current is None:
+            if in_header and tag == "ontology":
+                ontology_id = value.strip()
             continue
         if tag == "id":
-            ident = _obo_value(value)
-            if ident and " " not in ident:
+            ident = _obo_value(value.strip())
+            if ident.split(None, 1) == [ident]:
                 current.id = ident
         elif tag == "name":
-            current.name = _obo_value(value)
+            current.name = _obo_value(value.strip())
         elif tag == "is_a":
-            parent = _obo_value(value)
+            parent = _obo_value(value.strip())
             if parent:
                 current.parents.append(parent)
         elif tag == "synonym":
@@ -194,7 +207,7 @@ def parse_obo(text: str) -> ParseReport:
             if syn:
                 current.synonyms.append(syn)
         elif tag == "is_obsolete":
-            current.obsolete = value.lower() == "true"
+            current.obsolete = _obo_value(value.strip()).lower() == "true"
 
     classes: dict[str, OntologyClass] = {}
     for stanza in stanzas:
@@ -204,18 +217,13 @@ def parse_obo(text: str) -> ParseReport:
             warnings.append((stanza.line, "term stanza without id: skipped"))
             continue
         iri = obo_id_to_iri(stanza.id)
-        parents = {obo_id_to_iri(p) for p in stanza.parents}
+        parents = frozenset(map(obo_id_to_iri, stanza.parents))
         if iri in parents:
             warnings.append((stanza.line, f"self is_a on {stanza.id} dropped"))
-            parents.discard(iri)
+            parents -= {iri}
         if iri in classes:
             warnings.append((stanza.line, f"duplicate id {stanza.id}: previous term replaced"))
-        classes[iri] = OntologyClass(
-            iri=iri,
-            label=stanza.name,
-            synonyms=frozenset(stanza.synonyms),
-            parents=frozenset(parents),
-        )
+        classes[iri] = OntologyClass(iri, stanza.name, frozenset(stanza.synonyms), parents)
 
     if not classes:
         raise ParseError("no terms parsed from OBO input")
@@ -252,24 +260,23 @@ def parse_json_ontology(text: str) -> ParseReport:
             isinstance(label, str)
             and isinstance(synonyms, list)
             and isinstance(parents, list)
-            and all(isinstance(v, str) for v in synonyms + parents)
+            # isinstance(v, str) for each item, without a generator per entry
+            and all(map(str.__instancecheck__, synonyms))
+            and all(map(str.__instancecheck__, parents))
         ):
             raise ParseError(
                 f'class {iri}: "label" must be a string, "synonyms" and "parents" lists of strings'
             )
-        synonyms = {s for s in synonyms if s}
-        parents = set(parents)
+        synonyms = frozenset(synonyms)
+        if "" in synonyms:
+            synonyms -= {""}
+        parents = frozenset(parents)
         if iri in parents:
             warnings.append((None, f"class entry {index} ({iri}): self is_a dropped"))
-            parents.discard(iri)
+            parents -= {iri}
         if iri in classes:
             warnings.append((None, f"class entry {index} ({iri}): duplicate iri, previous class replaced"))
-        classes[iri] = OntologyClass(
-            iri=iri,
-            label=label,
-            synonyms=frozenset(synonyms),
-            parents=frozenset(parents),
-        )
+        classes[iri] = OntologyClass(iri, label, synonyms, parents)
 
     if not classes:
         raise ParseError("ontology document has zero classes")

@@ -40,6 +40,31 @@ def fixture_dictionary(source_onto, target_onto, fixture_mappings):
     return build_dictionary(accepted, source_onto, target_onto)
 
 
+def _brute_closure(onto, root):
+    """Every class below ``root`` by fixpoint iteration over parent links, ``root`` excluded.
+
+    It reads only ``onto.classes`` and each class's ``iri`` and ``parents``, and
+    shares no code with the library's own traversal, so tests use it as the
+    oracle for subsumption closures.
+    """
+    member = {root}
+    changed = True
+    while changed:
+        changed = False
+        for cls in onto.classes.values():
+            if cls.iri not in member and cls.parents & member:
+                member.add(cls.iri)
+                changed = True
+    member.discard(root)
+    return member
+
+
+@pytest.fixture(scope="session")
+def brute_closure():
+    """The brute-force closure oracle: ``brute_closure(onto, root)`` is the set below ``root``."""
+    return _brute_closure
+
+
 @pytest.fixture()
 def levenshtein_calls(monkeypatch):
     """Every (a, b) the align module passes to Levenshtein, in call order."""

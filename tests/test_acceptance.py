@@ -167,21 +167,7 @@ def _toy_ontology(rng: random.Random, prefix: str, n_classes: int) -> Ontology:
     return Ontology(id=prefix, classes=classes)
 
 
-def _brute_closure(onto: Ontology, root: str) -> set[str]:
-    """Fixpoint reachability over parent links; the root itself is excluded."""
-    member = {root}
-    changed = True
-    while changed:
-        changed = False
-        for cls in onto.classes.values():
-            if cls.iri not in member and cls.parents & member:
-                member.add(cls.iri)
-                changed = True
-    member.discard(root)
-    return member
-
-
-def test_criterion_4_corpus_matches_closure_oracle(capsys):
+def test_criterion_4_corpus_matches_closure_oracle(capsys, brute_closure):
     with criterion(capsys, 4, "subsumption corpus equals the brute-force closure oracle"):
         for seed in (1, 2, 3):
             rng = random.Random(seed)
@@ -196,7 +182,7 @@ def test_criterion_4_corpus_matches_closure_oracle(capsys):
 
             oracle = set()
             for m in mappings:
-                oracle |= {(m.source, d) for d in _brute_closure(target, m.target)}
+                oracle |= {(m.source, d) for d in brute_closure(target, m.target)}
 
             corpus = build_subsumption_corpus(source, target, mappings, seed=seed)
             positives = {(p.concept, p.candidate) for p in corpus if p.label}

@@ -706,6 +706,17 @@ def test_json_warnings_name_the_class_entry(capsys, workdir):
     assert "warning: dup.json: class entry 1 (http://x/#a): duplicate iri" in err
 
 
+def test_obo_warnings_name_their_line(capsys, workdir):
+    text = "ontology: bad\n\n[Term]\nid: B:1\nname: fever\n\n[Term]\nname: no id\n\n[Term]\nid: B:2\tx\nname: cough\n"
+    (workdir / "bad.obo").write_text(text, encoding="utf-8")
+    code, _, err = run(capsys, "align", "--source", "bad.obo", "--target", "clinical_signs.json", "--out", "x.tsv")
+    assert code == 0
+    assert err == (
+        "warning: bad.obo:7: term stanza without id: skipped\n"
+        "warning: bad.obo:10: term stanza without id: skipped\n"
+    )
+
+
 def test_parser_defines_each_option_once(monkeypatch):
     # Every option that subcommands share has one definition, in a parent
     # parser; a copy per subcommand would push the count up

@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 
 from ontorag.errors import ParseError, UnknownClassError
@@ -70,6 +72,38 @@ def test_class_rejects_bad_fields():
         _cls("http://x.org/a#B", parents=["http://x.org/a#B"])
     with pytest.raises(ParseError):
         _cls("not an iri")
+
+
+@pytest.mark.parametrize("iri", ["http://x.org/a\tb", "http://x.org/a\u00a0b", "http://x.org/a\u2028b", "\x1c", " "])
+def test_class_rejects_whitespace_iri(iri):
+    with pytest.raises(ParseError, match="^IRI contains whitespace: "):
+        _cls(iri)
+    with pytest.raises(ParseError, match="^empty IRI$"):
+        _cls("")
+
+
+def test_class_is_a_frozen_value():
+    syns = frozenset({"pyrexia"})
+    c = OntologyClass("http://x.org/a#B", "fever", syns, ["http://x.org/a#A"])
+    same = OntologyClass(iri="http://x.org/a#B", label="fever", synonyms=["pyrexia"], parents=("http://x.org/a#A",))
+    assert c == same and hash(c) == hash(same)
+    assert hash(c) == hash(("http://x.org/a#B", "fever", syns, frozenset({"http://x.org/a#A"})))
+    assert c.synonyms is syns
+    assert type(same.synonyms) is frozenset and type(same.parents) is frozenset
+    assert c != OntologyClass("http://x.org/a#B", "Fever", syns, ["http://x.org/a#A"])
+    assert c != ("http://x.org/a#B", "fever", syns, frozenset({"http://x.org/a#A"}))
+    assert repr(OntologyClass("http://x/#a")) == (
+        "OntologyClass(iri='http://x/#a', label='', synonyms=frozenset(), parents=frozenset())"
+    )
+    for name in ("iri", "label", "synonyms", "parents", "other"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(c, name, "x")
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        del c.label
+    assert dataclasses.replace(c, label="pyrexia") == OntologyClass("http://x.org/a#B", "pyrexia", syns, c.parents)
+    assert [f.name for f in dataclasses.fields(c)] == ["iri", "label", "synonyms", "parents"]
+    # the normalized texts are computed once and kept
+    assert c.normalized_texts is c.normalized_texts == frozenset({"fever", "pyrexia"})
 
 
 def test_normalized_texts_union():

@@ -2,11 +2,14 @@ import json
 import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ontorag.errors import DataError, ParseError
 from ontorag.fixtures import fixture_text
-from ontorag.model import subclass_closure
+from ontorag.model import Ontology, OntologyClass, subclass_closure
 from ontorag.parse import (
+    ParseReport,
     obo_id_to_iri,
     parse_json_ontology,
     parse_obo,
@@ -84,8 +87,12 @@ name: one again
     cls = report.ontology.get("http://purl.obolibrary.org/obo/W_1")
     assert cls.label == "one again"
     assert cls.parents == frozenset()
-    total_lines = text.count("\n") + 1
-    assert all(1 <= lineno <= total_lines for lineno, _ in report.warnings)
+    # each warning names the line of its stanza's [Term] header
+    assert report.warnings == [
+        (3, "term stanza without id: skipped"),
+        (6, "self is_a on W:1 dropped"),
+        (11, "duplicate id W:1: previous term replaced"),
+    ]
 
 
 def test_parse_obo_lines_end_at_newline_only():
@@ -94,6 +101,36 @@ def test_parse_obo_lines_end_at_newline_only():
     report = parse_obo(text)
     assert report.ontology.get("http://purl.obolibrary.org/obo/FF_1").label == "a\x0cb\u2028c"
     assert report.warnings == [(7, "term stanza without id: skipped")]
+
+
+@pytest.mark.parametrize("value", ["true ! gone", "true {source=\"x\"}", "TRUE {a=b} ! gone", " true\r"])
+def test_parse_obo_obsolete_drops_modifiers_and_comment(value):
+    report = parse_obo(f"ontology: o\n\n[Term]\nid: O:1\n\n[Term]\nid: O:2\nis_obsolete: {value}\n")
+    assert set(report.ontology.classes) == {obo_id_to_iri("O:1")}
+    assert report.warnings == []
+
+
+@pytest.mark.parametrize(
+    "value, synonyms",
+    [
+        (r'"the \"big\" one" EXACT []', {r'the \"big\" one'}),
+        (r'"ends in a backslash\\" EXACT []', {"ends in a backslash\\\\"}),
+        (r'"a \\\" b" RELATED []', {r'a \\\" b'}),
+        (r'"never closed\" EXACT []', set()),
+        ('"plain" EXACT []', {"plain"}),
+    ],
+)
+def test_parse_obo_synonym_ends_at_the_first_unescaped_quote(value, synonyms):
+    report = parse_obo(f"ontology: s\n\n[Term]\nid: S:1\nsynonym: {value}\n")
+    assert report.ontology.classes[obo_id_to_iri("S:1")].synonyms == synonyms
+
+
+@pytest.mark.parametrize("ident", ["A:1\tx", "A:1\x0bx", "A:1\u00a0x", "A:1\u3000x", "A:1 x"])
+def test_parse_obo_id_with_whitespace_skips_its_stanza(ident):
+    text = f"ontology: ws\n\n[Term]\nid: B:1\n\n[Term]\nid: {ident}\nname: bad\n"
+    report = parse_obo(text)
+    assert set(report.ontology.classes) == {obo_id_to_iri("B:1")}
+    assert report.warnings == [(6, "term stanza without id: skipped")]
 
 
 def test_read_text_locates_a_bad_byte_past_the_first_buffer(tmp_path):
@@ -229,3 +266,252 @@ def test_parse_ontology_file_errors_name_the_path(tmp_path):
         path.write_text(text, encoding="utf-8")
         with pytest.raises(ParseError, match=f"^{re.escape(str(path))}: "):
             parse_ontology_file(str(path))
+
+
+# ---------------------------------------------------------------- reference readers
+#
+# The readers as they were before the one-pass OBO reader and the cheaper JSON
+# checks, with three fixes applied: `is_obsolete:` drops its trailing comment
+# and modifiers, a synonym ends at the first quote no backslash escapes, and an
+# id with any whitespace skips its stanza. They are written the plain way on
+# purpose, so that the tests below check the fast readers against them.
+
+_REF_VALUE_RE = re.compile(r"[^\\!{]*(?:\\.?[^\\!{]*)*")
+
+
+def _ref_value(value):
+    return _REF_VALUE_RE.match(value).group().rstrip()
+
+
+def _ref_synonym_text(value):
+    first = value.find('"')
+    if first < 0:
+        return None
+    i = first + 1
+    while i < len(value):
+        if value[i] == "\\":
+            i += 2
+        elif value[i] == '"':
+            return value[first + 1 : i]
+        else:
+            i += 1
+    return None
+
+
+def _reference_parse_obo(text):
+    lines = [(n, line) for n, line in enumerate(text.split("\n"), start=1) if line.strip()]
+    warnings = []
+    ontology_id = "obo"
+    stanzas = []
+    current = None
+    in_header = True
+    for lineno, raw in lines:
+        line = raw.strip()
+        if line.startswith("["):
+            in_header = False
+            current = {"line": lineno, "id": None, "name": "", "synonyms": [], "parents": [], "obsolete": False}
+            if line == "[Term]":
+                stanzas.append(current)
+            else:
+                current = None
+            continue
+        if ":" not in line:
+            continue
+        tag, _, value = line.partition(":")
+        tag = tag.strip()
+        value = value.strip()
+        if in_header:
+            if tag == "ontology":
+                ontology_id = value
+            continue
+        if current is None:
+            continue
+        if tag == "id":
+            ident = _ref_value(value)
+            if ident and not any(ch.isspace() for ch in ident):
+                current["id"] = ident
+        elif tag == "name":
+            current["name"] = _ref_value(value)
+        elif tag == "is_a":
+            parent = _ref_value(value)
+            if parent:
+                current["parents"].append(parent)
+        elif tag == "synonym":
+            syn = _ref_synonym_text(value)
+            if syn:
+                current["synonyms"].append(syn)
+        elif tag == "is_obsolete":
+            current["obsolete"] = _ref_value(value).lower() == "true"
+
+    classes = {}
+    for stanza in stanzas:
+        if stanza["obsolete"]:
+            continue
+        if not stanza["id"]:
+            warnings.append((stanza["line"], "term stanza without id: skipped"))
+            continue
+        iri = obo_id_to_iri(stanza["id"])
+        parents = {obo_id_to_iri(p) for p in stanza["parents"]}
+        if iri in parents:
+            warnings.append((stanza["line"], f"self is_a on {stanza['id']} dropped"))
+            parents.discard(iri)
+        if iri in classes:
+            warnings.append((stanza["line"], f"duplicate id {stanza['id']}: previous term replaced"))
+        classes[iri] = OntologyClass(
+            iri=iri, label=stanza["name"], synonyms=frozenset(stanza["synonyms"]), parents=frozenset(parents)
+        )
+    if not classes:
+        raise ParseError("no terms parsed from OBO input")
+    return ParseReport(Ontology(id=ontology_id, classes=classes), warnings)
+
+
+def _reference_parse_json(text):
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"invalid JSON: {exc}") from exc
+    if not isinstance(doc, dict) or not isinstance(doc.get("id"), str):
+        raise ParseError('ontology document must be an object with a string "id"')
+    entries = doc.get("classes")
+    if not isinstance(entries, list):
+        raise ParseError('ontology document must carry a "classes" list')
+    warnings = []
+    classes = {}
+    for index, entry in enumerate(entries):
+        if not isinstance(entry, dict) or not isinstance(entry.get("iri"), str) or not entry["iri"]:
+            raise ParseError(f'class entry {index} without "iri": {entry!r}')
+        iri = entry["iri"]
+        label, synonyms, parents = entry.get("label", ""), entry.get("synonyms", []), entry.get("parents", [])
+        if not (
+            isinstance(label, str)
+            and isinstance(synonyms, list)
+            and isinstance(parents, list)
+            and all(isinstance(v, str) for v in synonyms + parents)
+        ):
+            raise ParseError(f'class {iri}: "label" must be a string, "synonyms" and "parents" lists of strings')
+        synonyms = {s for s in synonyms if s}
+        parents = set(parents)
+        if iri in parents:
+            warnings.append((None, f"class entry {index} ({iri}): self is_a dropped"))
+            parents.discard(iri)
+        if iri in classes:
+            warnings.append((None, f"class entry {index} ({iri}): duplicate iri, previous class replaced"))
+        classes[iri] = OntologyClass(iri=iri, label=label, synonyms=frozenset(synonyms), parents=frozenset(parents))
+    if not classes:
+        raise ParseError("ontology document has zero classes")
+    return ParseReport(Ontology(id=doc["id"], classes=classes), warnings)
+
+
+def _outcome(reader, text):
+    """The report ``reader`` returns for ``text``, or the message of its ParseError."""
+    try:
+        return reader(text)
+    except ParseError as exc:
+        return f"ParseError: {exc}"
+
+
+# ---------------------------------------------------------------- generated OBO
+
+_IDS = ["X:1", "X:2", "X:3", "http://x.org/a#b", "X:1\u00a0y"]
+_VALUE_PIECES = [
+    "pain", "X:1", "X:2", "a b", " ", "\t", "!", "! c", "{", "}", '{k="v"}', "\\", "\\!", "\\{",
+    '\\"', '"', ":", "\x0c", "\u2028", "true", "TRUE",
+]
+_ws = st.sampled_from(["", "", "", " ", "\t", " \t"])
+_value = st.lists(st.sampled_from(_VALUE_PIECES), max_size=5).map("".join)
+_comment = st.sampled_from(["", "", " ! parent", " {x=y}", "\t! c", ' {a="b"} ! c', " \\! z", "\\{q} ! c", " !"])
+
+
+@st.composite
+def _tag_line(draw):
+    tag = draw(st.sampled_from(["name", "is_a", "is_a", "synonym", "synonym", "is_obsolete", "id", "def", "id "]))
+    shape = draw(st.integers(0, 3))
+    if tag in ("id", "is_a") and shape:
+        value = draw(st.sampled_from(_IDS)) + draw(_comment)
+    elif tag == "synonym" and shape:
+        value = '"' + draw(_value) + '"' + draw(st.sampled_from([" EXACT []", "", " RELATED [] ! c"]))
+    elif tag == "is_obsolete" and shape:
+        value = draw(st.sampled_from(["true", "false", "true ! gone", "true {a=b}", "True", "\\true"]))
+    else:
+        value = draw(_value)
+    return draw(_ws) + tag + draw(_ws) + ":" + draw(_ws) + value + draw(_ws)
+
+
+_other_line = st.sampled_from(
+    ["", "", " ", "\t", " \t ", "\x0c", "! a comment", "no colon here", "xref: A:1", "ontology: late"]
+)
+
+
+@st.composite
+def _stanza(draw):
+    header = draw(st.sampled_from(["[Term]", "[Term]", "[Term]", " [Term]\t", "[Typedef]", "[Term] ! c", "["]))
+    lines = [header]
+    if draw(st.integers(0, 5)):
+        lines.append(draw(_ws) + "id:" + draw(_ws) + draw(st.sampled_from(_IDS)) + draw(_comment))
+    lines += draw(st.lists(st.one_of(_tag_line(), _tag_line(), _other_line), max_size=6))
+    return lines
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(st.one_of(_other_line, st.sampled_from(["ontology: gen", " ontology : g2 ! c", "format-version: 1.2"]))),
+    st.lists(_stanza(), max_size=6),
+    st.sampled_from(["\n", "\r\n"]),
+)
+def test_parse_obo_matches_the_reference_reader(header, stanzas, newline):
+    text = newline.join(header + [line for stanza in stanzas for line in stanza]) + newline
+    assert _outcome(parse_obo, text) == _outcome(_reference_parse_obo, text)
+
+
+# ---------------------------------------------------------------- generated JSON
+
+_odd = st.sampled_from([None, 0, 1.5, True, {}, {"a": "b"}, ["x"]])
+_iri = st.sampled_from(["http://x/#a", "http://x/#b", "http://x/#c"])
+_bad_iri = st.sampled_from(["", "http://x/#a b", "http://x/#\tc", "http://x/#\u00a0d"])
+_strings = st.lists(st.one_of(_iri, st.sampled_from(["fever", "", "pyrexia"])), max_size=4)
+_good = {"label": st.sampled_from(["", "fever", "high fever"]), "synonyms": _strings, "parents": _strings}
+# A list of strings with one item of another type somewhere in it.
+_one_odd_item = st.tuples(st.lists(_iri, max_size=2), _odd, st.lists(_iri, max_size=2)).map(
+    lambda parts: [*parts[0], parts[1], *parts[2]]
+)
+_bad = {
+    "iri": st.one_of(_bad_iri, _odd),
+    "label": _odd,
+    "synonyms": st.one_of(_odd, st.just("fever"), _one_odd_item),
+    "parents": st.one_of(_odd, st.just("http://x/#a"), _one_odd_item),
+}
+
+
+_rarely = st.sampled_from([False] * 29 + [True])
+_now_and_then = st.sampled_from([False] * 4 + [True])
+
+
+@st.composite
+def _entry(draw):
+    """Mostly a class entry with valid fields, each maybe absent; now and then one is wrong."""
+    if draw(_rarely):
+        return draw(_odd)
+    entry = {"iri": draw(_iri)}
+    for key, value in _good.items():
+        if draw(st.booleans()):
+            entry[key] = draw(value)
+    if draw(_now_and_then):
+        key = draw(st.sampled_from(sorted(_bad)))
+        entry[key] = draw(_bad[key])
+    if draw(_rarely):
+        del entry["iri"]
+    return entry
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.sampled_from(["j"] * 8 + ["", None]),
+    st.lists(_entry(), max_size=6),
+    st.sampled_from(["list"] * 8 + ["absent", "object"]),
+)
+def test_parse_json_matches_the_reference_reader(doc_id, entries, shape):
+    doc = {"id": doc_id}
+    if shape != "absent":
+        doc["classes"] = entries if shape == "list" else dict(enumerate(entries))
+    text = json.dumps(doc)
+    assert _outcome(parse_json_ontology, text) == _outcome(_reference_parse_json, text)
