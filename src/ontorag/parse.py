@@ -182,7 +182,8 @@ def parse_obo(text: str) -> ParseReport:
         tag = tag.strip()
         if tag[:1] == "[":
             in_header = False
-            current = _Stanza(lineno) if line.strip() == "[Term]" else None
+            # A header may carry a trailing "! comment", as any OBO line may.
+            current = _Stanza(lineno) if line.partition("!")[0].strip() == "[Term]" else None
             if current is not None:
                 stanzas.append(current)
             continue
@@ -190,7 +191,7 @@ def parse_obo(text: str) -> ParseReport:
             continue
         if current is None:
             if in_header and tag == "ontology":
-                ontology_id = value.strip()
+                ontology_id = _obo_value(value.strip())
             continue
         if tag == "id":
             ident = _obo_value(value.strip())

@@ -9,8 +9,12 @@ import subprocess
 import sys
 import zlib
 
+import gen
+import numpy as np
+import oracles
 import pytest
 
+import ontorag.engine
 import ontorag.ragstore
 from ontorag.cli import _atomic_write, build_parser, main
 from ontorag.fixtures import export_fixtures
@@ -353,6 +357,75 @@ def test_eval_to_stdout(capsys, workdir):
     )
     assert code == 0
     assert out.startswith("table\tmeasure\t")
+
+
+@pytest.mark.parametrize("seed, n_classes", [(seed, n) for seed in (1, 2, 3) for n in (31, 156)])
+def test_generated_pipeline_matches_the_oracles(capsys, workdir, seed, n_classes):
+    rng = np.random.default_rng(seed)
+    pair = gen.ontology_pair(rng, n_classes)
+    handbook = (workdir / "handbook.txt").read_text(encoding="utf-8")
+    # Target labels are already in normal form; a file without extension is ingested under its own name.
+    docs = dict(zip(("doc0", "doc1"), gen.documents(rng, handbook, pair["t_labels"], 2, 4 * oracles.CHUNK_STEP)))
+    for name, text in [("source.obo", pair["source_obo"]), ("target.json", pair["target_json"]), *docs.items()]:
+        (workdir / name).write_text(text, encoding="utf-8")
+    onto = ["--source", "source.obo", "--target", "target.json"]
+    for argv in (
+        ["align", *onto, "--out", "mappings.tsv"],
+        ["subsume", *onto, "--mappings", "mappings.tsv", "--out", "corpus.tsv"],
+        ["dict", *onto, "--corpus", "corpus.tsv", "--out", "dict.json"],
+        ["ingest", "--store", "store.jsonl", "--doc", "doc0", "--doc", "doc1"],
+    ):
+        assert run(capsys, *argv)[0] == 0, argv
+    out = {name: (workdir / name).read_text(encoding="utf-8") for name in ("mappings.tsv", "corpus.tsv", "dict.json")}
+    # Recall is checked on a seeded sample of 100 blocked pairs, which at 31 classes is all of them.
+    assert oracles.check_mappings(pair, out["mappings.tsv"], gen.source_iri, gen.target_iri, 100, seed) == []
+    assert oracles.check_corpus(pair, out["mappings.tsv"], out["corpus.tsv"], gen.target_iri) == []
+    assert oracles.check_dictionary(pair, out["corpus.tsv"], out["dict.json"], gen.source_iri, gen.target_iri) == []
+    dictionary = SubsumptionDictionary.from_json(out["dict.json"])
+    store = ontorag.ragstore.VectorStore.load("store.jsonl")
+    provider, ranking = ontorag.ragstore.DeterministicEmbedder(store.dim), oracles.RankingOracle(docs, store.dim)
+    questions = [f"What is known about {a}?" for a in sorted(dictionary.entries)[:5]] + ["What helps a cough?"]
+    llm = ontorag.engine.EchoLlm()
+    results = [ontorag.engine.answer(store, provider, llm, q, dictionary=dictionary) for q in questions]
+    assert [p for r in results for p in ranking.check(r.augmented, r.context_ids, r.scores)] == []
+    # At 31 classes every planted target is a leaf: the corpus and dictionary are empty, so nothing is infiltrated.
+    assert any(r.appended for r in results) == bool(dictionary.entries) == (n_classes > 31)
+
+
+@pytest.mark.parametrize(
+    "flag, question, augmented",
+    [
+        ("--fuzzy", "constipaton?", "constipaton? (related: acute constipation, chronic constipation)"),
+        ("--bare", "constipation?", "constipation? acute constipation chronic constipation"),
+    ],
+    ids=["fuzzy", "bare"],
+)
+@pytest.mark.parametrize("command", ["ask", "chat", "eval"])
+def test_matching_flags_reach_infiltrate(capsys, workdir, monkeypatch, command, flag, question, augmented):
+    _build_pipeline(capsys, workdir)
+    seen = []
+    real = ontorag.engine.infiltrate
+
+    def recording(*args, **kwargs):
+        result = real(*args, **kwargs)
+        seen.append(result.augmented)
+        return result
+
+    monkeypatch.setattr(ontorag.engine, "infiltrate", recording)
+    rag = ["--store", "store.jsonl", "--dict", "dict.json", flag]
+    if command == "ask":
+        argv = ["ask", *rag, "--question", question]
+    elif command == "chat":
+        stdin = io.TextIOWrapper(io.BytesIO(f"{question}\n/quit\n".encode("utf-8")), encoding="utf-8")
+        monkeypatch.setattr(sys, "stdin", stdin)
+        argv = ["chat", *rag]
+    else:
+        record = json.dumps({"prompt": question, "ground_truth": "Fluids and fibre."})
+        (workdir / "one.jsonl").write_text(record + "\n", encoding="utf-8")
+        argv = ["eval", *rag, "--records", "one.jsonl"]
+    code, _, err = run(capsys, *argv)
+    assert code == 0, err
+    assert seen == [augmented]
 
 
 @pytest.mark.parametrize(

@@ -3,19 +3,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
+from oracles import edit_distance
 
 from ontorag._kernels import cosine, cosine_scan, levenshtein, top_k
-
-
-def ref_levenshtein(a: str, b: str) -> int:
-    """Slow but obviously correct DP, used as the oracle."""
-    prev = list(range(len(b) + 1))
-    for i, ca in enumerate(a, start=1):
-        cur = [i]
-        for j, cb in enumerate(b, start=1):
-            cur.append(min(prev[j] + 1, cur[j - 1] + 1, prev[j - 1] + (ca != cb)))
-        prev = cur
-    return prev[len(b)]
 
 
 def test_levenshtein_known_values():
@@ -40,7 +30,7 @@ _texts = st.one_of(
 @settings(deadline=None, max_examples=200)
 @given(_texts, _texts)
 def test_levenshtein_matches_reference(a, b):
-    assert levenshtein(a, b) == ref_levenshtein(a, b)
+    assert levenshtein(a, b) == edit_distance(a, b)
     assert levenshtein(a, b) == levenshtein(b, a)
 
 
@@ -48,7 +38,7 @@ def test_levenshtein_matches_reference(a, b):
 @given(_texts, _texts, st.data())
 def test_levenshtein_cutoff_contract(a, b, data):
     cutoff = data.draw(st.integers(0, max(len(a), len(b))))
-    exact = ref_levenshtein(a, b)
+    exact = edit_distance(a, b)
     got = levenshtein(a, b, cutoff)
     if exact <= cutoff:
         assert got == exact

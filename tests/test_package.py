@@ -1,9 +1,12 @@
 """The package namespace holds ``__version__`` and the submodules, nothing else."""
 
 import importlib
+import os
 import subprocess
 import sys
+from pathlib import Path
 
+import oracles
 import pytest
 
 import ontorag
@@ -44,3 +47,13 @@ def test_numpy_free_modules_do_not_load_numpy(child_pythonpath):
     out = subprocess.run([sys.executable, "-c", probe], capture_output=True, encoding="utf-8")
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == "False"
+
+
+def test_oracles_import_no_ontorag(child_pythonpath):
+    # The tests' references stay independent of the code they check.
+    perfbench = str(Path(oracles.__file__).parent)
+    env = dict(os.environ, PYTHONPATH=perfbench + os.pathsep + os.environ["PYTHONPATH"])
+    probe = "import sys, oracles, gen; print(sorted(m for m in sys.modules if m.partition('.')[0] == 'ontorag'))"
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, encoding="utf-8", env=env)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "[]"

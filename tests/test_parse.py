@@ -173,6 +173,17 @@ def test_parse_obo_name_drops_modifiers_and_comment(value, label):
     assert report.ontology.classes[obo_id_to_iri("X:1")].label == label
 
 
+def test_parse_obo_ontology_id_drops_its_comment():
+    assert parse_obo("ontology: demo ! the demo\n\n[Term]\nid: A:1\n").ontology.id == "demo"
+
+
+def test_parse_obo_term_header_drops_its_comment():
+    report = parse_obo("ontology: d\n\n[Term] ! first\nid: A:1\nname: a\n\n[Term]\nid: A:2\n")
+    assert set(report.ontology.classes) == {obo_id_to_iri("A:1"), obo_id_to_iri("A:2")}
+    assert report.ontology.classes[obo_id_to_iri("A:1")].label == "a"
+    assert report.warnings == []
+
+
 def test_parse_obo_empty_is_error():
     with pytest.raises(ParseError):
         parse_obo("format-version: 1.2\n")
@@ -271,9 +282,10 @@ def test_parse_ontology_file_errors_name_the_path(tmp_path):
 # ---------------------------------------------------------------- reference readers
 #
 # The readers as they were before the one-pass OBO reader and the cheaper JSON
-# checks, with three fixes applied: `is_obsolete:` drops its trailing comment
-# and modifiers, a synonym ends at the first quote no backslash escapes, and an
-# id with any whitespace skips its stanza. They are written the plain way on
+# checks, with five fixes applied: `is_obsolete:` drops its trailing comment
+# and modifiers, a synonym ends at the first quote no backslash escapes, an id
+# with any whitespace skips its stanza, the `ontology:` value drops its trailing
+# comment, and so does a `[Term]` header. They are written the plain way on
 # purpose, so that the tests below check the fast readers against them.
 
 _REF_VALUE_RE = re.compile(r"[^\\!{]*(?:\\.?[^\\!{]*)*")
@@ -310,7 +322,7 @@ def _reference_parse_obo(text):
         if line.startswith("["):
             in_header = False
             current = {"line": lineno, "id": None, "name": "", "synonyms": [], "parents": [], "obsolete": False}
-            if line == "[Term]":
+            if line.split("!", 1)[0].rstrip() == "[Term]":
                 stanzas.append(current)
             else:
                 current = None
@@ -322,7 +334,7 @@ def _reference_parse_obo(text):
         value = value.strip()
         if in_header:
             if tag == "ontology":
-                ontology_id = value
+                ontology_id = _ref_value(value)
             continue
         if current is None:
             continue

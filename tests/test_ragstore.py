@@ -6,6 +6,7 @@ import zlib
 from pathlib import Path
 
 import numpy as np
+import oracles
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
@@ -14,7 +15,6 @@ from hypothesis.extra.numpy import arrays
 import ontorag.ragstore as ragstore
 from ontorag.errors import DataError, ProviderError
 from ontorag.fixtures import fixture_text
-from ontorag.model import label_tokens
 from ontorag.ragstore import (
     Chunk,
     DeterministicEmbedder,
@@ -66,7 +66,7 @@ class TestDeterministicEmbed:
     def test_matches_per_token_reference(self, text, dim):
         got = DeterministicEmbedder(dim).embed([text])[0]
         assert got.dtype == np.float64
-        assert got.tobytes() == _reference_row(text, dim).tobytes()
+        assert got.tobytes() == oracles.embed(text, dim).tobytes()
 
     @given(
         st.lists(
@@ -87,7 +87,7 @@ class TestDeterministicEmbed:
         assert out.dtype == np.float64
         assert out.shape == (len(texts), dim)
         for text, row in zip(texts, out):
-            assert row.tobytes() == _reference_row(text, dim).tobytes()
+            assert row.tobytes() == oracles.embed(text, dim).tobytes()
 
     def test_empty_batches(self):
         provider = DeterministicEmbedder(dim=16)
@@ -118,19 +118,6 @@ class TestDeterministicEmbed:
         out = provider.embed(["a", "b"])
         assert out.shape == (2, 16)
         np.testing.assert_array_equal(out[0], DeterministicEmbedder(16).embed(["a"])[0])
-
-
-def _reference_row(text, dim):
-    """The embedding of ``text`` built one token at a time."""
-    expected = np.zeros(dim, dtype=np.float64)
-    tokens = label_tokens(text)
-    if tokens:
-        for tok in tokens:
-            expected[zlib.crc32(tok.encode("utf-8"), 0x9E3779B9) % dim] += 1.0
-        expected /= np.linalg.norm(expected)
-    else:
-        expected[0] = 1.0
-    return expected
 
 
 class TestChunkDocument:

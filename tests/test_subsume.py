@@ -1,7 +1,8 @@
+import oracles
 import pytest
 
 import ontorag.subsume
-from ontorag.align import LexicalScorer, Mapping, align, lexical_score
+from ontorag.align import LexicalScorer, Mapping, align
 from ontorag.errors import DataError, UnknownClassError
 from ontorag.infiltrate import infiltrate
 from ontorag.model import Ontology, OntologyClass, label_tokens, normalize_label
@@ -95,12 +96,12 @@ def test_predict_accepts_exactly_the_pairwise_scores(source_onto, target_onto, f
     accepted = predict_subsumptions(corpus, LexicalScorer(), source_onto, target_onto)
     calls = len(levenshtein_calls)
     expected = sorted(
-        (key, score) for key, pair in labels.items() if (score := lexical_score(*pair)) >= 0.5
+        (key, score) for key, pair in labels.items() if (score := oracles.lexical_score(*pair)) >= 0.5
     )
     assert [((m.source, m.target), m.score) for m in accepted] == expected
     assert all(m.relation == "SUBSUMED_BY" for m in accepted)
     # without the bound, each pair of unequal non-empty normal forms runs Levenshtein
-    normal = [(normalize_label(a), normalize_label(b)) for a, b in labels.values()]
+    normal = [(oracles.normalize(a), oracles.normalize(b)) for a, b in labels.values()]
     assert 0 < calls < sum(1 for a, b in normal if a and b and a != b)
 
 
